@@ -450,6 +450,12 @@ def _tree_tables_worker(payload):
     return code, coeffs, air_values
 
 
+def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
+    """Worker processes for a sweep: the requested jobs, but no more than the
+    processors (cpus, from os.cpu_count(), may be None) or the tasks."""
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
 def run_sweep(cfg: SweepConfig, collect_reports: bool = False):
     """Run the full monotonicity sweep.
 
@@ -472,8 +478,9 @@ def run_sweep(cfg: SweepConfig, collect_reports: bool = False):
     payloads = [
         (n, t.code, tuple(t.representative.edges()), gamma_items, air_items) for t in trees
     ]
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_tree_tables_worker, payloads, chunksize=1))
     else:
         results = [_tree_tables_worker(p) for p in payloads]

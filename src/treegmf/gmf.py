@@ -21,7 +21,10 @@ Two evaluators with identical contracts:
     d_gamma(xI - L) = sum over matchings M of
         Gamma(|M|) * q^(2|M|) * prod over unmatched v of (x - 1 - q^2 (deg v - 1))
 
-  which costs one pass over the matchings of the tree.
+  The sum is evaluated by a bottom-up DP over the rooted tree
+  (matching_profile) in polynomial time, in integer arithmetic in u = q^2.
+  Visiting every matching, and the n! permutation sum, remain as test
+  oracles.
 
 The per-shape table a[i][r] is extracted from the monomial-basis polynomials
 at the shapes 2^i,1^(n-2i): a[i][r] = c_r of that polynomial divided by 2^i.
@@ -38,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Literal, Sequence
 
 from .gts import GtsPair
@@ -51,7 +54,7 @@ from .symfunc import (
     involution_class_values,
     power_expansion,
 )
-from .trees import CanonicalTree, LabeledTree, ahu_canonical, matchings
+from .trees import CanonicalTree, LabeledTree, ahu_canonical, rooted_order
 
 
 @dataclass(frozen=True)
@@ -70,16 +73,6 @@ class GmfPolynomial:
 # ---------------------------------------------------------------------------
 # raw polynomials in x with QPolynomial coefficients (index = power of x)
 # ---------------------------------------------------------------------------
-
-
-def _xmul_linear(poly: list[QPolynomial], c: QPolynomial) -> list[QPolynomial]:
-    """Multiply by (x - c)."""
-    out = [QP_ZERO] * (len(poly) + 1)
-    for k, a in enumerate(poly):
-        if a:
-            out[k + 1] = out[k + 1] + a
-            out[k] = out[k] - a * c
-    return out
 
 
 def _xmul(a: list[QPolynomial], b: list[QPolynomial]) -> list[QPolynomial]:
@@ -104,37 +97,106 @@ def _xadd_scaled(acc: list[QPolynomial], poly: Sequence[QPolynomial], c) -> None
 
 
 @lru_cache(maxsize=None)
-def matching_profile(tree: LabeledTree) -> tuple[tuple[QPolynomial, ...], ...]:
-    """Per matching size j, the raw x-polynomial
+def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per matching size j and power k of x, the integer coefficients in
+    u = q^2 (lowest power first, trailing zeros dropped) of x^k in
 
         w_j = sum over matchings of size j of
-              q^(2j) * prod over unmatched v of (x - 1 - q^2 (deg v - 1)).
+              u^j * prod over unmatched v of (x - 1 - u (deg v - 1)).
 
-    Everything the matching evaluator needs about the tree, computed once.
+    Everything the matching evaluator needs about the tree, computed once by
+    a bottom-up DP over the tree rooted at vertex 0.  For each vertex v it
+    keeps two polynomials in (t = matching size, x, u) over v's subtree:
+    prod[v], the product over v's children c of their totals, and
+    matched[v], the sum over children c of prod[c] (c's subtree with c
+    left uncovered, before c's diagonal factor) times the totals of the
+    other children.  The total of v is then
+
+        (x - 1 - u (deg v - 1)) * prod[v] + t u * matched[v],
+
+    v unmatched or matched to a child.  Folding the children in one at a
+    time costs O(deg v) products per vertex.
+
+    The polynomials are Kronecker-packed into Python ints (t, x and u are
+    powers of 2^W, slot width W bits), so each product is one big-int
+    multiplication.  The slots are signed and wide enough for the largest
+    coefficient the profile can have, which the same DP bounds when run on
+    absolute values at t = x = u = 1.
     """
     n = tree.n
-    diag = [QPolynomial([1, 0, tree.degree(v) - 1]) for v in range(n)]
-    profiles: list[list[QPolynomial]] = [[QP_ZERO] * (n + 1) for _ in range(n // 2 + 1)]
-    for m in matchings(tree):
-        j = m.size
-        covered = m.vertices()
-        poly = [QP_ONE]
-        for v in range(n):
-            if v not in covered:
-                poly = _xmul_linear(poly, diag[v])
-        q2j = QPolynomial.monomial(1, 2 * j)
-        _xadd_scaled(profiles[j], [c * q2j for c in poly], 1)
-    return tuple(tuple(row) for row in profiles)
+    adj = tree.adj
+    order, parent = rooted_order(tree, 0)
+
+    def fold(diag, edge):
+        # a vertex's entries are dropped once its parent has absorbed them
+        prod: dict[int, int] = {}
+        matched: dict[int, int] = {}
+        for v in reversed(order):
+            g = prod.pop(v, 1)
+            total = diag(v, g) + edge(matched.pop(v, 0))
+            p = parent[v]
+            if p >= 0:
+                matched[p] = matched.get(p, 0) * total + prod.get(p, 1) * g
+                prod[p] = prod.get(p, 1) * total
+        return total
+
+    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda m: m)
+    width = bound.bit_length() // 8 + 1  # bytes per slot, sign included
+    bits = 8 * width
+    u_shift = bits
+    x_shift = u_shift * (n + 1)
+    tu_shift = x_shift * (n + 1) + u_shift
+    packed = fold(
+        lambda v, g: (g << x_shift) - g - (len(adj[v]) - 1) * (g << u_shift),
+        lambda m: m << tu_shift,
+    )
+
+    # Adding half the slot range to every slot makes each slot non-negative,
+    # so the slots are the little-endian bytes of one int.
+    slots = (n // 2 + 1) * (n + 1) * (n + 1)
+    half = 1 << (bits - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (packed + bias).to_bytes(width * slots, "little")
+    values = [
+        int.from_bytes(data[i:i + width], "little") - half
+        for i in range(0, width * slots, width)
+    ]
+    profile = []
+    for j in range(n // 2 + 1):
+        row = []
+        for k in range(n + 1):
+            start = (j * (n + 1) + k) * (n + 1)
+            coeffs = values[start:start + n + 1]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            row.append(tuple(coeffs))
+        profile.append(tuple(row))
+    return tuple(profile)
 
 
 def coefficients_from_profile(
-    profile: Sequence[Sequence[QPolynomial]], n: int, gamma_j: Sequence[Fraction]
+    profile: Sequence[Sequence[Sequence[int]]], n: int, gamma_j: Sequence[Fraction]
 ) -> XQPolynomial:
-    """Assemble the polynomial sum_j Gamma(j) * w_j from a matching profile."""
-    raw = [QP_ZERO] * (n + 1)
-    for j, g in enumerate(gamma_j):
-        if g:
-            _xadd_scaled(raw, profile[j], g)
+    """Assemble the polynomial sum_j Gamma(j) * w_j from a matching profile.
+
+    The Gamma(j) are put on one denominator, so every coefficient of x^k u^e
+    is a single integer sum divided once."""
+    den = lcm(*(g.denominator for g in gamma_j))
+    terms = [
+        (g.numerator * (den // g.denominator), profile[j]) for j, g in enumerate(gamma_j) if g
+    ]
+    zero = Fraction(0)
+    raw = []
+    for k in range(n + 1):
+        acc = [0] * (n + 1)
+        for g, rows in terms:
+            for e, c in enumerate(rows[k]):
+                acc[e] += g * c
+        while acc and not acc[-1]:
+            acc.pop()
+        coeffs = [zero] * (2 * len(acc))  # u^e is q^(2e)
+        coeffs[::2] = [Fraction(c, den) if c else zero for c in acc]
+        raw.append(QPolynomial(coeffs))
     return XQPolynomial.from_raw(n, raw)
 
 

@@ -220,7 +220,7 @@ class XQPolynomial:
     def from_raw(cls, n: int, raw: Sequence[QPolynomial]) -> "XQPolynomial":
         """Build from raw x-coefficients (index = power of x, length <= n+1)."""
         raw = list(raw) + [QP_ZERO] * (n + 1 - len(raw))
-        signed = [raw[n - r] * ((-1) ** r) for r in range(n + 1)]
+        signed = [-raw[n - r] if r % 2 else raw[n - r] for r in range(n + 1)]
         return cls(n, signed)
 
     def to_raw(self) -> list[QPolynomial]:

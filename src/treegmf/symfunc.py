@@ -170,50 +170,49 @@ def _m_times_pk(coords: dict[tuple[int, ...], Fraction], k: int) -> dict[tuple[i
 
 
 @lru_cache(maxsize=None)
+def _p_in_m_row(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """Monomial coordinates of the power sum p_mu."""
+    coords: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for k in mu:
+        coords = _m_times_pk(coords, k)
+    return coords
+
+
 def _p_in_m_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     """Monomial coordinates of every degree-n power-sum basis element."""
-    rows = {}
-    for mu in _partition_tuples(n):
-        coords: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-        for k in mu:
-            coords = _m_times_pk(coords, k)
-        rows[mu] = coords
-    return rows
+    return {mu: _p_in_m_row(mu) for mu in _partition_tuples(n)}
 
 
 @lru_cache(maxsize=None)
-def _m_in_p_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """Power-sum coordinates of every degree-n monomial basis element.
+def _m_in_p_row(lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """Power-sum coordinates of the monomial basis element m_lam.
 
     The p-in-m transition matrix is triangular in reverse-lexicographic order
-    (a power sum only hits coarsenings of its index), so each row of the
-    inverse is obtained by one back-substitution pass.
+    (a power sum only hits coarsenings of its index, which come first), so
+    m_lam = sum of x_mu p_mu over mu up to lam, solved by one
+    back-substitution pass from lam down that reads only the rows p_mu with
+    x_mu != 0.
     """
-    parts_list = _partition_tuples(n)
-    index = {p: i for i, p in enumerate(parts_list)}
-    diag: dict[int, Fraction] = {}
-    cols: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in range(len(parts_list))}
-    for mu, row in _p_in_m_rows(n).items():
-        i = index[mu]
-        for nu, val in row.items():
-            j = index[nu]
-            if j == i:
-                diag[i] = val
-            else:
-                cols[j].append((i, val))
-    out = {}
-    for i in range(len(parts_list)):
-        x = [Fraction(0)] * (i + 1)
-        x[i] = 1 / diag[i]
-        for j in range(i - 1, -1, -1):
-            s = Fraction(0)
-            for k, val in cols[j]:
-                if k <= i and x[k]:
-                    s += x[k] * val
-            if s:
-                x[j] = -s / diag[j]
-        out[parts_list[i]] = {parts_list[j]: x[j] for j in range(i + 1) if x[j]}
-    return out
+    parts_list = _partition_tuples(sum(lam))
+    i = parts_list.index(lam)
+    index = {p: k for k, p in enumerate(parts_list[: i + 1])}
+    x = [Fraction(0)] * (i + 1)
+    hit = [Fraction(0)] * (i + 1)  # sum over solved k of x_k * <p_k, m_j>
+    for k in range(i, -1, -1):
+        rest = (1 if k == i else 0) - hit[k]
+        if rest:
+            row = _p_in_m_row(parts_list[k])
+            x[k] = rest / row[parts_list[k]]
+            for nu, val in row.items():
+                j = index[nu]
+                if j != k:
+                    hit[j] += x[k] * val
+    return {parts_list[j]: x[j] for j in range(i + 1) if x[j]}
+
+
+def _m_in_p_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+    """Power-sum coordinates of every degree-n monomial basis element."""
+    return {lam: _m_in_p_row(lam) for lam in _partition_tuples(n)}
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +252,7 @@ def _power_expansion_cached(basis: str, parts: tuple[int, ...]) -> PowerExpansio
             coords[mu] = Fraction(mn_character(lam, mu), z_order(mu))
         return PowerExpansion(n, coords)
     if basis == "m":
-        row = _m_in_p_rows(n)[lam.parts]
+        row = _m_in_p_row(lam.parts)
         return PowerExpansion(n, {Partition(mu): c for mu, c in row.items()})
     if basis == "f":
         sign = (-1) ** (n - len(lam))

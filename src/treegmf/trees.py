@@ -99,15 +99,34 @@ class CanonicalTree:
     representative: LabeledTree = field(compare=False)
 
 
+def rooted_order(tree: LabeledTree, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the tree hung from root (every vertex after its
+    parent) and the parent of each vertex (-1 for the root)."""
+    parent = [-1] * tree.n
+    order = [root]
+    for v in order:
+        for w in tree.adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def _subtree_codes(tree: LabeledTree, root: int) -> list[str]:
+    """Rooted code of every vertex's subtree, the tree hung from root,
+    built children first without recursion."""
+    order, parent = rooted_order(tree, root)
+    codes = [""] * tree.n
+    for v in reversed(order):
+        p = parent[v]
+        codes[v] = "(" + "".join(sorted([codes[c] for c in tree.adj[v] if c != p])) + ")"
+    return codes
+
+
 def rooted_code(tree: LabeledTree, root: int) -> str:
     """Canonical code of the tree rooted at root: children codes sorted and
     wrapped in parentheses.  Equal codes <=> rooted isomorphism."""
-
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(c, v) for c in tree.adj[v] if c != parent)
-        return "(" + "".join(subs) + ")"
-
-    return code(root, -1)
+    return _subtree_codes(tree, root)[root]
 
 
 def centroids(tree: LabeledTree) -> list[int]:
@@ -116,18 +135,7 @@ def centroids(tree: LabeledTree) -> list[int]:
     n = tree.n
     if n == 1:
         return [0]
-    order: list[int] = []
-    parent = [-1] * n
-    stack = [0]
-    seen = {0}
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in tree.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                stack.append(w)
+    order, parent = rooted_order(tree, 0)
     size = [1] * n
     for v in reversed(order):
         if parent[v] >= 0:
@@ -309,21 +317,17 @@ def tree_to_edge_text(tree: LabeledTree) -> str:
 
 def ascii_sketch(tree: LabeledTree) -> str:
     """Small text drawing of the unlabeled tree, rooted at a centroid."""
-    cents = centroids(tree)
-    root = min(cents, key=lambda c: (rooted_code(tree, c), c))
-
-    def subcode(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(subcode(c, v) for c in tree.adj[v] if c != parent)) + ")"
-
-    lines: list[str] = ["o"]
-
-    def walk(v: int, parent: int, prefix: str) -> None:
-        kids = sorted((c for c in tree.adj[v] if c != parent),
-                      key=lambda c: subcode(c, v))
-        for k, c in enumerate(kids):
+    codes = {c: _subtree_codes(tree, c) for c in centroids(tree)}
+    root = min(codes, key=lambda c: (codes[c][c], c))
+    code = codes[root]
+    lines: list[str] = []
+    stack = [(root, -1, "o", "")]  # vertex, parent, its line, its children's prefix
+    while stack:
+        v, parent, line, prefix = stack.pop()
+        lines.append(line)
+        kids = sorted((c for c in tree.adj[v] if c != parent), key=code.__getitem__)
+        for k in range(len(kids) - 1, -1, -1):
             last = k == len(kids) - 1
-            lines.append(prefix + ("`-o" if last else "|-o"))
-            walk(c, v, prefix + ("  " if last else "| "))
-
-    walk(root, -1, "")
+            stack.append((kids[k], v, prefix + ("`-o" if last else "|-o"),
+                          prefix + ("  " if last else "| ")))
     return "\n".join(lines)

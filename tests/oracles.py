@@ -3,8 +3,9 @@
 Everything here is deliberately implemented from first principles, separate
 from the package code paths it checks: partition counting via the pentagonal
 recurrence, character degrees via hook lengths, free-tree counts via Prüfer
-dedup and via the rooted-tree divisor recurrence with Otter's correction, and
-path matching counts via the transfer recurrence.
+dedup and via the rooted-tree divisor recurrence with Otter's correction,
+path matching counts via the transfer recurrence, and the matching profile
+of a tree by visiting every matching.
 """
 
 from __future__ import annotations
@@ -112,3 +113,36 @@ def path_matching_count(n: int) -> int:
     for _ in range(n - 1):
         a, b = b, a + b
     return b
+
+
+def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The matching profile in the layout of treegmf.gmf.matching_profile
+    (per matching size j and power k of x, the integer u = q^2 coefficients,
+    trailing zeros dropped), summed one matching at a time: each matching of
+    size j adds u^j * prod over unmatched v of (x - 1 - u (deg v - 1))."""
+    from treegmf import matchings
+
+    n = tree.n
+    acc = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n // 2 + 1)]
+    for m in matchings(tree):
+        covered = m.vertices()
+        poly = {(0, m.size): 1}  # (power of x, power of u) -> coefficient
+        for v in range(n):
+            if v in covered:
+                continue
+            grown: dict[tuple[int, int], int] = {}
+            for (k, e), c in poly.items():
+                for key, f in (((k + 1, e), 1), ((k, e), -1), ((k, e + 1), 1 - tree.degree(v))):
+                    grown[key] = grown.get(key, 0) + c * f
+            poly = grown
+        for (k, e), c in poly.items():
+            acc[m.size][k][e] += c
+    out = []
+    for rows in acc:
+        trimmed = []
+        for coeffs in rows:
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            trimmed.append(tuple(coeffs))
+        out.append(tuple(trimmed))
+    return tuple(out)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from treegmf import LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
-from treegmf.cli import main, parse_partition_arg, parse_shape_pattern
+from treegmf.cli import main, parse_partition_arg, parse_shape_pattern, pool_size
 from treegmf.partitions import Partition
 
 
@@ -247,6 +247,15 @@ def test_cmd_verify_report_deterministic_across_jobs(tmp_path, capsys):
     assert obj["summary"]["pairs"] == 2
     assert all(rep["pass"] for rep in obj["monotone"])
     assert all(rep["pass"] for rep in obj["air"])
+
+
+def test_pool_size_clamps_jobs_to_processors_and_trees():
+    assert pool_size(10**9, 2, 10**9) == 2
+    assert pool_size(10**9, 10**6, 47) == 47
+    assert pool_size(2**63, None, 10**6) == 1
+    assert pool_size(3, 8, 11) == 3
+    assert pool_size(1, 64, 100) == 1
+    assert pool_size(4, 4, 0) == 1
 
 
 def test_cmd_verify_csv_report(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import random
+import sys
+import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -19,8 +22,11 @@ from treegmf import (
     verify_coeff_formula,
     verify_monotone,
 )
-from treegmf.qpoly import QP_ZERO, QPolynomial
-from treegmf.symfunc import PowerExpansion
+from treegmf.gmf import coefficients_from_profile, matching_profile
+from treegmf.qpoly import QP_ZERO, QPolynomial, XQPolynomial
+from treegmf.symfunc import PowerExpansion, involution_class_values
+
+from oracles import enumerated_matching_profile
 
 
 def P(*parts):
@@ -95,6 +101,75 @@ def test_bruteforce_guard():
         gmf_poly_bruteforce(big, gamma)
     with pytest.raises(ValueError):
         gmf_poly_bruteforce(big, gamma, max_brute=9)
+
+
+# ---------------------------------------------------------------------------
+# the matching profile: tree DP against matching enumeration
+# ---------------------------------------------------------------------------
+
+
+def assemble_by_qpolynomials(profile, n, gamma_j):
+    """sum_j Gamma(j) * w_j in QPolynomial arithmetic, u^e read as q^(2e)."""
+    raw = []
+    for k in range(n + 1):
+        acc = QP_ZERO
+        for j, g in enumerate(gamma_j):
+            for e, c in enumerate(profile[j][k]):
+                acc = acc + QPolynomial.monomial(c * g, 2 * e)
+        raw.append(acc)
+    return XQPolynomial.from_raw(n, raw)
+
+
+def test_profile_equals_enumeration_oracle():
+    # n = 1 has a degree-0 vertex, whose diagonal factor is x - 1 + u
+    rng = random.Random(3)
+    for n in range(1, 11):
+        gammas = [
+            involution_class_values(power_expansion("m", Partition.involution_shape(n, i)))
+            for i in range(n // 2 + 1)
+        ]
+        gammas.append(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n // 2 + 1))
+        )
+        for t in enumerate_free_trees(n):
+            profile = matching_profile(t.representative)
+            expected = enumerated_matching_profile(t.representative)
+            assert profile == expected, (n, t.code)
+            for gj in gammas:
+                assert coefficients_from_profile(profile, n, gj) == assemble_by_qpolynomials(
+                    expected, n, gj
+                ), (n, t.code, gj)
+    assert matching_profile(LabeledTree(1, [])) == (((-1, 1), (1,)),)
+
+
+def test_gmf_on_a_60_vertex_path_within_a_second():
+    n = 60
+    lam = Partition([2] * 10 + [1] * 40)
+    t0 = time.perf_counter()
+    poly = gmf_poly_matching(LabeledTree.path(n), power_expansion("p", lam)).poly
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, elapsed
+    # only Gamma(10) = z_lam is nonzero; c_20 is z_lam times the top term of w_10
+    z = 2**10 * factorial(10) * factorial(40)
+    assert poly.signed_coefficient(20) == QPolynomial.monomial(z * comb(50, 10), 20)
+    assert all(poly.signed_coefficient(r).is_zero() for r in range(20))
+
+
+def test_profile_does_not_recurse():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    n = 50
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n // 2)
+    try:
+        profile = matching_profile.__wrapped__(LabeledTree.path(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    # the top power of x in w_j is u^j x^(n-2j) times the number of
+    # j-matchings of the path, C(n-j, j)
+    for j in range(n // 2 + 1):
+        assert profile[j][n - 2 * j] == (0,) * j + (comb(n - j, j),)
 
 
 # ---------------------------------------------------------------------------

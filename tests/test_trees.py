@@ -183,3 +183,27 @@ def test_ascii_sketch_shape():
     sketch = ascii_sketch(LabeledTree.star(4))
     assert sketch.splitlines()[0] == "o"
     assert sketch.count("o") == 4
+
+
+def recursive_rooted_code(tree, root):
+    """The rooted code written as the recursion its definition states."""
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(c, v) for c in tree.adj[v] if c != parent)) + ")"
+
+    return code(root, -1)
+
+
+def test_rooted_code_matches_its_recursive_definition():
+    for n in range(1, 11):
+        for t in enumerate_free_trees(n):
+            for root in range(n):
+                assert rooted_code(t.representative, root) == recursive_rooted_code(
+                    t.representative, root
+                )
+
+
+def test_canonical_code_of_a_long_path():
+    code = ahu_canonical(LabeledTree.path(3000)).code
+    # rooted at a middle vertex: the two halves, longer first
+    assert code == "(" + "(" * 1500 + ")" * 1500 + "(" * 1499 + ")" * 1499 + ")"
