@@ -19,7 +19,6 @@ deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -133,15 +132,17 @@ def parse_shape_pattern(text: str | None):
     free: set[int] = set()
     for token in text.split(","):
         token = token.strip()
-        if "^" in token:
-            v_s, m_s = token.split("^", 1)
+        v_s, caret, m_s = token.partition("^")
+        try:
             v = int(v_s)
             if m_s in ("k", "*"):
                 free.add(v)
-            else:
+            elif caret:
                 fixed[v] = int(m_s)
-        else:
-            fixed[int(token)] = fixed.get(int(token), 0) + 1
+            else:
+                fixed[v] = fixed.get(v, 0) + 1
+        except ValueError:
+            raise ValueError(f"bad shape pattern {text!r}: token {token!r}") from None
     allowed = set(fixed) | free
 
     def match(lam: Partition) -> bool:
@@ -424,6 +425,7 @@ class SweepConfig:
             raise ValueError(f"format must be json or csv, got {self.fmt}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        parse_shape_pattern(self.lambda_filter)
 
     def effective_mode(self, basis: str) -> str:
         if self.mode == "auto":
@@ -432,22 +434,18 @@ class SweepConfig:
 
 
 def _tree_tables_worker(payload):
-    """Per-tree table computation: signed coefficient lists for every gamma
-    plus the a[i][r] table, all from one matching profile."""
-    n, code, edges, gamma_items, air_items = payload
-    tree = LabeledTree(n, edges)
-    profile = matching_profile(tree)
-    coeffs = {}
-    for basis, parts, gamma_j in gamma_items:
-        poly = coefficients_from_profile(profile, n, gamma_j)
-        coeffs[(basis, parts)] = poly.signed
+    """Per-tree table computation from one matching profile: the signed
+    coefficient list of every distinct gamma vector, and the a[i][r] table,
+    whose row i is the vector at index air_slots[i] divided by 2^i."""
+    n, code, edges, gammas, air_slots = payload
+    profile = matching_profile(LabeledTree(n, edges))
+    signed = [coefficients_from_profile(profile, n, gamma_j).signed for gamma_j in gammas]
     air_values = {}
-    for i, gamma_j in air_items:
-        poly = coefficients_from_profile(profile, n, gamma_j)
+    for i, slot in enumerate(air_slots):
         scale = Fraction(1, 2**i)
-        for r in range(n + 1):
-            air_values[(i, r)] = poly.signed_coefficient(r) * scale
-    return code, coeffs, air_values
+        for r, c in enumerate(signed[slot]):
+            air_values[(i, r)] = c * scale
+    return code, signed, air_values
 
 
 def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
@@ -466,21 +464,25 @@ def run_sweep(cfg: SweepConfig, collect_reports: bool = False):
     pairs = proper_gts_pairs(n)
     match = parse_shape_pattern(cfg.lambda_filter)
     lambdas = [lam for lam in enumerate_partitions(n) if match(lam)]
-    gamma_items = [
-        (basis, lam.parts, involution_class_values(power_expansion(basis, lam)))
-        for basis in cfg.bases
-        for lam in lambdas
-    ]
-    air_items = [
-        (i, involution_class_values(power_expansion("m", Partition.involution_shape(n, i))))
-        for i in range(n // 2 + 1)
-    ]
+    # each distinct gamma vector is assembled once per tree; air row i is
+    # the m-basis gamma at shape 2^i,1^(n-2i), so it shares those vectors
+    gamma_index: dict[tuple[Fraction, ...], int] = {}
+
+    def slot(basis: str, lam: Partition) -> int:
+        gamma_j = involution_class_values(power_expansion(basis, lam))
+        return gamma_index.setdefault(gamma_j, len(gamma_index))
+
+    slots = {(basis, lam.parts): slot(basis, lam) for basis in cfg.bases for lam in lambdas}
+    air_slots = [slot("m", Partition.involution_shape(n, i)) for i in range(n // 2 + 1)]
+    gammas = tuple(gamma_index)
     payloads = [
-        (n, t.code, tuple(t.representative.edges()), gamma_items, air_items) for t in trees
+        (n, t.code, tuple(t.representative.edges()), gammas, air_slots) for t in trees
     ]
     workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_tree_tables_worker, payloads, chunksize=1))
     else:
         results = [_tree_tables_worker(p) for p in payloads]
@@ -497,10 +499,9 @@ def run_sweep(cfg: SweepConfig, collect_reports: bool = False):
         for basis in cfg.bases:
             mode = cfg.effective_mode(basis)
             for lam in lambdas:
+                k = slots[(basis, lam.parts)]
                 report = monotone_report_from_coeffs(
-                    lo, up,
-                    coeff_tables[lo][(basis, lam.parts)],
-                    coeff_tables[up][(basis, lam.parts)],
+                    lo, up, coeff_tables[lo][k], coeff_tables[up][k],
                     mode, basis=basis, lam=lam,
                 )
                 monotone_total += 1

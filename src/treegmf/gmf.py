@@ -180,23 +180,20 @@ def coefficients_from_profile(
     """Assemble the polynomial sum_j Gamma(j) * w_j from a matching profile.
 
     The Gamma(j) are put on one denominator, so every coefficient of x^k u^e
-    is a single integer sum divided once."""
+    is a single integer sum over that denominator; no Fraction is built."""
     den = lcm(*(g.denominator for g in gamma_j))
     terms = [
         (g.numerator * (den // g.denominator), profile[j]) for j, g in enumerate(gamma_j) if g
     ]
-    zero = Fraction(0)
     raw = []
     for k in range(n + 1):
         acc = [0] * (n + 1)
         for g, rows in terms:
             for e, c in enumerate(rows[k]):
                 acc[e] += g * c
-        while acc and not acc[-1]:
-            acc.pop()
-        coeffs = [zero] * (2 * len(acc))  # u^e is q^(2e)
-        coeffs[::2] = [Fraction(c, den) if c else zero for c in acc]
-        raw.append(QPolynomial(coeffs))
+        nums = [0] * (2 * n + 1)
+        nums[::2] = acc  # u^e is q^(2e)
+        raw.append(QPolynomial.from_ints(nums, den))
     return XQPolynomial.from_raw(n, raw)
 
 

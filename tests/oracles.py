@@ -4,8 +4,9 @@ Everything here is deliberately implemented from first principles, separate
 from the package code paths it checks: partition counting via the pentagonal
 recurrence, character degrees via hook lengths, free-tree counts via Prüfer
 dedup and via the rooted-tree divisor recurrence with Otter's correction,
-path matching counts via the transfer recurrence, and the matching profile
-of a tree by visiting every matching.
+path matching counts via the transfer recurrence, the matching profile
+of a tree by visiting every matching, and q-polynomial arithmetic on tuples
+of Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -146,3 +147,89 @@ def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]
             trimmed.append(tuple(coeffs))
         out.append(tuple(trimmed))
     return tuple(out)
+
+
+class FractionQPolynomial:
+    """Reference q-polynomial: a tuple of Fraction coefficients, lowest degree
+    first, trailing zeros stripped, every operation done coefficient by
+    coefficient in Fraction arithmetic.  Same interface and output strings
+    as treegmf.QPolynomial, which stores integers over one denominator."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()) -> None:
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionQPolynomial) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionQPolynomial(out)
+
+    def __neg__(self):
+        return FractionQPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionQPolynomial(other * a for a in self.coeffs)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FractionQPolynomial()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FractionQPolynomial(out)
+
+    def evaluate(self, q0) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * q0 + c
+        return acc
+
+    def is_rplus_q2(self) -> bool:
+        return all(c == 0 if k % 2 else c >= 0 for k, c in enumerate(self.coeffs))
+
+    def abs_coefficients(self):
+        return FractionQPolynomial(abs(c) for c in self.coeffs)
+
+    def to_json_obj(self) -> list:
+        return [{"num": str(c.numerator), "den": str(c.denominator)} for c in self.coeffs]
+
+    def csv_cell(self) -> str:
+        return ";".join(f"{c.numerator}/{c.denominator}" for c in self.coeffs)
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                term = str(mag)
+            else:
+                var = "q" if k == 1 else f"q^{k}"
+                term = var if mag == 1 else f"{mag}*{var}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -247,6 +248,42 @@ def test_cmd_verify_report_deterministic_across_jobs(tmp_path, capsys):
     assert obj["summary"]["pairs"] == 2
     assert all(rep["pass"] for rep in obj["monotone"])
     assert all(rep["pass"] for rep in obj["air"])
+
+
+# sha256 of the verify --n 6 reports, recorded before QPolynomial moved from
+# Fraction tuples to integer numerators over one denominator
+GOLDEN_N6 = {
+    "json": "29cbde5e01b9ce335579049d892eaf180009c3fafd2ce43ceb33f86db4417781",
+    "csv": "bc26ce00b1df9085351ed25e61f7e228b6ebfe73a44c7b4c8efc2683477d7c35",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cmd_verify_n6_report_digests(tmp_path, capsys, fmt, jobs):
+    out = tmp_path / f"n6.{fmt}"
+    assert run_cli("verify", "--n", "6", "--format", fmt, "--jobs", jobs, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_N6[fmt]
+
+
+@pytest.mark.parametrize("pattern", ["2^x", "abc", ","])
+def test_cmd_verify_bad_lambda_pattern(capsys, pattern):
+    assert run_cli("verify", "--n", "4", "--lambda", pattern) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    with pytest.raises(ValueError):
+        parse_shape_pattern(pattern)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treegmf.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_pool_size_clamps_jobs_to_processors_and_trees():

@@ -22,11 +22,11 @@ from treegmf import (
     verify_coeff_formula,
     verify_monotone,
 )
-from treegmf.gmf import coefficients_from_profile, matching_profile
+from treegmf.gmf import coefficients_from_profile, matching_profile, monotone_report_from_coeffs
 from treegmf.qpoly import QP_ZERO, QPolynomial, XQPolynomial
 from treegmf.symfunc import PowerExpansion, involution_class_values
 
-from oracles import enumerated_matching_profile
+from oracles import FractionQPolynomial, enumerated_matching_profile
 
 
 def P(*parts):
@@ -140,6 +140,59 @@ def test_profile_equals_enumeration_oracle():
                     expected, n, gj
                 ), (n, t.code, gj)
     assert matching_profile(LabeledTree(1, [])) == (((-1, 1), (1,)),)
+
+
+def test_assembly_with_rational_gammas_matches_fraction_reference():
+    # the six bases only give integer Gamma(j); these put denominators 3, 6
+    # and 4 into the assembled coefficients
+    gamma_j = (Fraction(1, 3), Fraction(-5, 6), Fraction(2), Fraction(7, 4))
+    trees = [
+        LabeledTree.path(6),
+        LabeledTree.star(6),
+        LabeledTree(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)]),
+    ]
+    for tree in trees:
+        n = tree.n
+        profile = matching_profile(tree)
+        poly = coefficients_from_profile(profile, n, gamma_j)
+        for r in range(n + 1):
+            raw = FractionQPolynomial()
+            for g, rows in zip(gamma_j, profile):
+                for e, c in enumerate(rows[n - r]):
+                    raw = raw + FractionQPolynomial([0] * (2 * e) + [c * g])
+            expected = -raw if r % 2 else raw
+            assert poly.signed_coefficient(r).coeffs == expected.coeffs, (tree, r)
+        assert max(c.den for c in poly.signed) > 1
+
+
+def test_integer_sweep_path_builds_no_fraction(monkeypatch):
+    n = 6
+    lower, upper = LabeledTree.path(n), LabeledTree.star(n)
+    profiles = [matching_profile(lower), matching_profile(upper)]
+    gammas = [
+        involution_class_values(power_expansion(basis, Partition([2, 2, 1, 1])))
+        for basis in ("s", "m", "f")
+    ]
+    rational = (Fraction(1, 3), Fraction(-5, 6), Fraction(2), Fraction(7, 4))
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for gamma_j in gammas:
+        lo, up = (coefficients_from_profile(p, n, gamma_j).signed for p in profiles)
+        for mode in ("signed", "absolute"):
+            report = monotone_report_from_coeffs("lo", "up", lo, up, mode)
+            for e in report.per_r:
+                e.difference.csv_cell()
+                e.difference.to_json_obj()
+    coefficients_from_profile(profiles[0], n, rational)
+    assert made == []
+    Fraction(1, 3)
+    assert made == [(1, 3)]
 
 
 def test_gmf_on_a_60_vertex_path_within_a_second():

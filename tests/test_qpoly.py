@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import FractionQPolynomial
 from treegmf import QP_ONE, QP_ZERO, QPolynomial, XQPolynomial, eval_at_q, is_rplus_q2
 
 rationals = st.fractions(
@@ -117,3 +119,80 @@ def test_xq_basics():
     assert total.is_zero()
     with pytest.raises(ValueError):
         XQPolynomial(1, [QP_ONE, QP_ONE, QP_ONE])
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator, against the Fraction reference
+# ---------------------------------------------------------------------------
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# trailing zeros and, every other draw, a member of the q^2 cone
+coeff_lists = st.builds(
+    lambda cs, zeros, cone: (
+        [abs(c) if i % 2 == 0 else 0 for i, c in enumerate(cs)] if cone else cs
+    ) + [0] * zeros,
+    st.lists(wide_rationals, max_size=7),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+)
+
+
+def assert_matches(p: QPolynomial, ref: FractionQPolynomial) -> None:
+    assert p.den > 0
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+    assert p.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.degree == ref.degree
+    assert str(p) == str(ref)
+    assert p.csv_cell() == ref.csv_cell()
+    assert p.to_json_obj() == ref.to_json_obj()
+    assert p.is_rplus_q2() == ref.is_rplus_q2()
+
+
+@given(coeff_lists, coeff_lists, wide_rationals, wide_rationals)
+def test_integer_form_matches_fraction_reference(a_cs, b_cs, scalar, q0):
+    a, b = QPolynomial(a_cs), QPolynomial(b_cs)
+    ra, rb = FractionQPolynomial(a_cs), FractionQPolynomial(b_cs)
+    assert_matches(a, ra)
+    assert_matches(b, rb)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a * b, ra * rb)
+    assert_matches(-a, -ra)
+    assert_matches(a * scalar, ra * scalar)
+    assert_matches(scalar * a, ra * scalar)
+    assert_matches(a * int(scalar), ra * int(scalar))
+    assert_matches(a.abs_coefficients(), ra.abs_coefficients())
+    assert_matches(a.abs_coefficients() - b.abs_coefficients(),
+                   ra.abs_coefficients() - rb.abs_coefficients())
+    assert a.evaluate(q0) == ra.evaluate(q0)
+    assert a.evaluate(int(q0)) == ra.evaluate(Fraction(int(q0)))
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(st.lists(st.integers(min_value=-60, max_value=60), max_size=7),
+       st.integers(min_value=-24, max_value=24).filter(bool))
+def test_from_ints_is_the_canonical_form(nums, den):
+    p = QPolynomial.from_ints(nums, den)
+    ref = FractionQPolynomial(Fraction(c, den) for c in nums)
+    assert_matches(p, ref)
+    assert p == QPolynomial(Fraction(c, den) for c in nums)
+    assert (p.nums, p.den) == (QPolynomial(p.coeffs).nums, QPolynomial(p.coeffs).den)
+
+
+def test_integer_form_examples():
+    p = QPolynomial([Fraction(1, 2), Fraction(-1, 3), 0, 0])
+    assert (p.nums, p.den) == ((3, -2), 6)
+    assert QPolynomial.from_ints([4, 0, 6, 0], 2) == QPolynomial([2, 0, 3])
+    assert QPolynomial.from_ints([4, 0, 6], 2).den == 1
+    assert QPolynomial.from_ints([1, -3], -6) == QPolynomial([Fraction(-1, 6), Fraction(1, 2)])
+    assert QPolynomial.from_ints([0, 0], 7) == QP_ZERO
+    assert (QP_ZERO.nums, QP_ZERO.den) == ((), 1)
+    assert str(QPolynomial.from_ints([2, 0, -6], 4)) == "1/2 - 3/2*q^2"
+    assert str(QPolynomial.from_ints([0, 3], 3)) == "q"
+    assert QPolynomial.from_ints([2, 0, -6], 4).csv_cell() == "1/2;0/1;-3/2"
+    with pytest.raises(ZeroDivisionError):
+        QPolynomial.from_ints([1], 0)
