@@ -7,7 +7,17 @@ neighbor of y that is off the path over to x.  The shift is *proper* when
 both x and y have at least one off-path neighbor; a proper shift strictly
 increases the number of leaves, so the relation it generates on isomorphism
 classes is acyclic, with the path as the unique source and the star as the
-unique sink.
+unique sink (Csikvari, "On a poset of trees", Combinatorica 2010).
+
+An endpoint has exactly one neighbor on the path, so (x, y) is proper exactly
+when deg x >= 2, deg y >= 2 and every interior path vertex has degree 2.
+`proper_shifts` therefore finds the proper shifts of a tree by walking its
+maximal degree-2 chains: from each vertex x of degree >= 2, through each
+neighbor, forward while the current vertex has degree 2; every vertex of
+degree >= 2 met on the way is a partner y, and the walk already holds the
+x-y path.  Shifts (x, y) and (y, x) give isomorphic trees, the same path
+with the off-path subtrees of both endpoints hung at opposite ends, so only
+x < y is kept and each unordered pair is shifted and canonicalised once.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from .trees import CanonicalTree, LabeledTree, ahu_canonical, ascii_sketch, enum
 
 def tree_path(tree: LabeledTree, x: int, y: int) -> tuple[int, ...]:
     """The unique path from x to y, inclusive."""
+    if not (0 <= x < tree.n and 0 <= y < tree.n):
+        raise ValueError(f"path endpoint out of range: ({x},{y})")
     if x == y:
         raise ValueError("path endpoints must be distinct")
     parent = {x: -1}
@@ -61,11 +73,6 @@ def gts_shift(tree: LabeledTree, x: int, y: int) -> LabeledTree:
     return LabeledTree(tree.n, edges)
 
 
-def shift_is_admissible(tree: LabeledTree, x: int, y: int) -> bool:
-    path = tree_path(tree, x, y)
-    return all(tree.degree(v) == 2 for v in path[1:-1])
-
-
 def shift_is_proper(tree: LabeledTree, x: int, y: int) -> bool:
     """Admissible, and both endpoints keep at least one off-path neighbor."""
     path = tree_path(tree, x, y)
@@ -75,6 +82,31 @@ def shift_is_proper(tree: LabeledTree, x: int, y: int) -> bool:
     x_off = any(w not in on_path for w in tree.adj[x])
     y_off = any(w not in on_path for w in tree.adj[y])
     return x_off and y_off
+
+
+def proper_shifts(tree: LabeledTree) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every proper shift (x, y) with x < y, with its x-y path, sorted by
+    (x, y); found by walking the maximal degree-2 chains from each vertex of
+    degree >= 2."""
+    adj = tree.adj
+    out = []
+    for x in range(tree.n):
+        if len(adj[x]) < 2:
+            continue
+        for w in adj[x]:
+            prev, path = x, [x, w]
+            while True:
+                v = path[-1]
+                deg = len(adj[v])
+                if deg >= 2 and v > x:
+                    out.append((x, v, tuple(path)))
+                if deg != 2:
+                    break
+                a, b = adj[v]
+                path.append(b if a == prev else a)
+                prev = v
+    out.sort()
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,23 +133,15 @@ def _proper_pairs_cached(n: int) -> tuple[GtsPair, ...]:
     pairs: dict[tuple[str, str], GtsPair] = {}
     for lower in enumerate_free_trees(n):
         rep = lower.representative
-        for x in range(n):
-            for y in range(n):
-                if x == y or not shift_is_proper(rep, x, y):
-                    continue
-                shifted = gts_shift(rep, x, y)
-                upper = ahu_canonical(shifted)
-                if upper.code == lower.code:
-                    continue
-                key = (lower.code, upper.code)
-                if key not in pairs:
-                    pairs[key] = GtsPair(
-                        lower=lower,
-                        upper=upper,
-                        witness_x=x,
-                        witness_y=y,
-                        witness_path=tree_path(rep, x, y),
-                    )
+        for x, y, path in proper_shifts(rep):
+            upper = ahu_canonical(gts_shift(rep, x, y))
+            if upper.code == lower.code:
+                continue
+            key = (lower.code, upper.code)
+            if key not in pairs:
+                pairs[key] = GtsPair(
+                    lower=lower, upper=upper, witness_x=x, witness_y=y, witness_path=path
+                )
     return tuple(pairs[k] for k in sorted(pairs))
 
 

@@ -183,11 +183,14 @@ def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
 
 
 def _tree_from_levels(levels: list[int]) -> LabeledTree:
+    """The tree of a level sequence: each vertex's parent is the last vertex
+    before it one level up, read from the last index seen per level."""
     n = len(levels)
+    last = [0] * (n + 1)
     edges = []
     for i in range(1, n):
-        parent = max(j for j in range(i) if levels[j] == levels[i] - 1)
-        edges.append((parent, i))
+        edges.append((last[levels[i] - 1], i))
+        last[levels[i]] = i
     return LabeledTree(n, edges)
 
 

@@ -5,8 +5,10 @@ from the package code paths it checks: partition counting via the pentagonal
 recurrence, character degrees via hook lengths, free-tree counts via Prüfer
 dedup and via the rooted-tree divisor recurrence with Otter's correction,
 path matching counts via the transfer recurrence, the matching profile
-of a tree by visiting every matching, and q-polynomial arithmetic on tuples
-of Fraction coefficients.
+of a tree by visiting every matching, q-polynomial arithmetic on tuples
+of Fraction coefficients, free-tree enumeration with each parent found by
+scanning the level sequence, and the proper-shift pairs found by testing
+every ordered vertex pair of every tree.
 """
 
 from __future__ import annotations
@@ -147,6 +149,53 @@ def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]
             trimmed.append(tuple(coeffs))
         out.append(tuple(trimmed))
     return tuple(out)
+
+
+def scanned_tree_from_levels(levels: list[int]):
+    """The tree of a rooted level sequence, each vertex's parent found by
+    scanning back for the last vertex one level up."""
+    from treegmf import LabeledTree
+
+    n = len(levels)
+    edges = []
+    for i in range(1, n):
+        parent = max(j for j in range(i) if levels[j] == levels[i] - 1)
+        edges.append((parent, i))
+    return LabeledTree(n, edges)
+
+
+def scanned_free_trees(n: int) -> list:
+    """treegmf.enumerate_free_trees(n) with trees built by
+    scanned_tree_from_levels: the first rooted level sequence met for each
+    class gives its representative, sorted by canonical code."""
+    from treegmf import ahu_canonical
+    from treegmf.trees import _rooted_level_sequences
+
+    found = {}
+    for levels in _rooted_level_sequences(n):
+        cand = ahu_canonical(scanned_tree_from_levels(levels))
+        found.setdefault(cand.code, cand)
+    return [found[c] for c in sorted(found)]
+
+
+def scanned_proper_pairs(n: int) -> list[tuple]:
+    """Every (lower code, upper code, witness x, witness y, witness path) of
+    the proper-shift relation on n vertices, found by testing all ordered
+    vertex pairs (x, y) of each representative with shift_is_proper and
+    keeping the first witness in (x, y) order, sorted by the two codes."""
+    from treegmf import ahu_canonical, enumerate_free_trees, gts_shift, shift_is_proper, tree_path
+
+    pairs = {}
+    for lower in enumerate_free_trees(n):
+        rep = lower.representative
+        for x in range(n):
+            for y in range(n):
+                if x == y or not shift_is_proper(rep, x, y):
+                    continue
+                upper = ahu_canonical(gts_shift(rep, x, y)).code
+                if upper != lower.code:
+                    pairs.setdefault((lower.code, upper), (x, y, tree_path(rep, x, y)))
+    return [key + pairs[key] for key in sorted(pairs)]
 
 
 class FractionQPolynomial:

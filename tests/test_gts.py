@@ -11,7 +11,9 @@ from treegmf import (
     tree_path,
 )
 
-from oracles import prufer_to_edges
+from treegmf.gts import proper_shifts
+
+from oracles import prufer_to_edges, scanned_proper_pairs
 
 
 def test_tree_path():
@@ -20,6 +22,13 @@ def test_tree_path():
     assert tree_path(p4, 3, 0) == (3, 2, 1, 0)
     with pytest.raises(ValueError):
         tree_path(p4, 2, 2)
+
+
+def test_tree_path_rejects_out_of_range_endpoint():
+    p4 = LabeledTree.path(4)
+    for x, y in ((0, 9), (9, 0), (-1, 2), (0, 4)):
+        with pytest.raises(ValueError):
+            tree_path(p4, x, y)
 
 
 def test_shift_p4_to_star():
@@ -186,3 +195,26 @@ def test_random_proper_shift_lands_in_pair_set(n, rng):
                 upper = ahu_canonical(gts_shift(tree, x, y)).code
                 if upper != lower:
                     assert (lower, upper) in pair_set
+
+
+def test_proper_pairs_match_ordered_scan_oracle():
+    for n in range(2, 12):
+        got = [
+            (p.lower.code, p.upper.code, p.witness_x, p.witness_y, p.witness_path)
+            for p in proper_gts_pairs(n)
+        ]
+        assert got == scanned_proper_pairs(n)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=4, max_value=14), st.randoms(use_true_random=False))
+def test_chain_walk_finds_every_proper_shift_once(n, rng):
+    seq = tuple(rng.randrange(n) for _ in range(n - 2))
+    tree = LabeledTree(n, prufer_to_edges(seq))
+    found = proper_shifts(tree)
+    want = [(x, y) for x in range(n) for y in range(x + 1, n) if shift_is_proper(tree, x, y)]
+    assert [(x, y) for x, y, _ in found] == want
+    for x, y, path in found:
+        assert path == tree_path(tree, x, y)
+        forward = ahu_canonical(gts_shift(tree, x, y)).code
+        assert forward == ahu_canonical(gts_shift(tree, y, x)).code

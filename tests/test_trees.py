@@ -23,6 +23,7 @@ from oracles import (
     free_tree_count,
     path_matching_count,
     prufer_to_edges,
+    scanned_free_trees,
 )
 
 
@@ -99,6 +100,15 @@ def test_free_trees_deterministic_and_distinct():
     assert len(set(codes)) == len(codes)
     for t in ts:
         assert ahu_canonical(t.representative).code == t.code
+
+
+def test_free_tree_representatives_match_scanned_levels_oracle():
+    # the representative labelling is printed in every poset and verify report
+    for n in range(1, 13):
+        got = enumerate_free_trees(n)
+        want = scanned_free_trees(n)
+        assert [t.code for t in got] == [t.code for t in want]
+        assert [t.representative for t in got] == [t.representative for t in want]
 
 
 def test_matchings_examples():
