@@ -24,10 +24,13 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .gmf import (
+# coefficients_from_profile, involution_class_values, matching_profile and
+# the two *_report_from_* checks have no caller here: perfbench/tracer.py
+# resolves them by name on this module and reports a missing name as an
+# absent trace target.
+from .gmf import (  # noqa: F401
     air_monotone_report_from_tables,
     air_table,
     coefficients_from_profile,
@@ -37,10 +40,10 @@ from .gmf import (
     monotone_report_from_coeffs,
 )
 from .gts import pairs_to_json_obj, poset_to_dot, proper_gts_pairs
-from .partitions import Partition, enumerate_partitions
-from .qpoly import QPolynomial, rational_to_json
-from .symfunc import BASES, involution_class_values, power_expansion
-from .trees import LabeledTree, ahu_canonical, enumerate_free_trees, parse_tree
+from .partitions import Partition
+from .qpoly import rational_to_json
+from .symfunc import BASES, involution_class_values, power_expansion  # noqa: F401
+from .trees import LabeledTree, enumerate_free_trees, parse_tree
 
 OUT_DIR_ENV = "TREEGMF_OUT_DIR"
 
@@ -113,45 +116,15 @@ def parse_partition_arg(text: str) -> Partition:
             continue
         if "^" in token:
             v, m = token.split("^", 1)
-            parts.extend([int(v)] * int(m))
+            count = int(m)
+            if count < 0:
+                raise ValueError(f"negative multiplicity in {token!r}")
+            parts.extend([int(v)] * count)
         else:
             parts.append(int(token))
     if not parts:
         raise ValueError(f"empty partition {text!r}")
     return Partition(parts)
-
-
-def parse_shape_pattern(text: str | None):
-    """Shape patterns for --lambda: a comma list of tokens "V", "V^E",
-    "V^k" or "V^*" (the last two meaning any multiplicity, zero included).
-    A shape matches when its part values are among the tokens' values and
-    every fixed multiplicity is met.  "*" or omission matches everything."""
-    if text is None or text.strip() == "*":
-        return lambda lam: True
-    fixed: dict[int, int] = {}
-    free: set[int] = set()
-    for token in text.split(","):
-        token = token.strip()
-        v_s, caret, m_s = token.partition("^")
-        try:
-            v = int(v_s)
-            if m_s in ("k", "*"):
-                free.add(v)
-            elif caret:
-                fixed[v] = int(m_s)
-            else:
-                fixed[v] = fixed.get(v, 0) + 1
-        except ValueError:
-            raise ValueError(f"bad shape pattern {text!r}: token {token!r}") from None
-    allowed = set(fixed) | free
-
-    def match(lam: Partition) -> bool:
-        form = lam.exponential_form()
-        if any(v not in allowed for v in form):
-            return False
-        return all(form.get(v, 0) == m for v, m in fixed.items())
-
-    return match
 
 
 def _frac_str(v: Fraction) -> str:
@@ -399,183 +372,17 @@ def cmd_air_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepConfig:
-    """Configuration of one verification sweep."""
+def run_sweep(cfg, collect_reports=False):
+    """treegmf.sweep.run_sweep.  The sweep module is imported on first use,
+    so the other subcommands start without loading it."""
+    from .sweep import run_sweep as sweep
 
-    n: int
-    bases: tuple[str, ...] = BASES
-    lambda_filter: str | None = None
-    mode: str = "auto"  # signed | absolute | auto (absolute for f, signed otherwise)
-    out: str | None = None
-    fmt: str = "json"
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("sweep needs n >= 2")
-        if not self.bases:
-            raise ValueError("sweep needs at least one basis")
-        bad = [b for b in self.bases if b not in BASES]
-        if bad:
-            raise ValueError(f"unknown bases {bad}")
-        if self.mode not in ("signed", "absolute", "auto"):
-            raise ValueError(f"mode must be signed, absolute or auto, got {self.mode}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        parse_shape_pattern(self.lambda_filter)
-
-    def effective_mode(self, basis: str) -> str:
-        if self.mode == "auto":
-            return "absolute" if basis == "f" else "signed"
-        return self.mode
-
-
-def _tree_tables_worker(payload):
-    """Per-tree table computation from one matching profile: the signed
-    coefficient list of every distinct gamma vector, and the a[i][r] table,
-    whose row i is the vector at index air_slots[i] divided by 2^i."""
-    n, code, edges, gammas, air_slots = payload
-    profile = matching_profile(LabeledTree(n, edges))
-    signed = [coefficients_from_profile(profile, n, gamma_j).signed for gamma_j in gammas]
-    air_values = {}
-    for i, slot in enumerate(air_slots):
-        scale = Fraction(1, 2**i)
-        for r, c in enumerate(signed[slot]):
-            air_values[(i, r)] = c * scale
-    return code, signed, air_values
-
-
-def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
-    """Worker processes for a sweep: the requested jobs, but no more than the
-    processors (cpus, from os.cpu_count(), may be None) or the tasks."""
-    return max(1, min(jobs, cpus or 1, tasks))
-
-
-def run_sweep(cfg: SweepConfig, collect_reports: bool = False):
-    """Run the full monotonicity sweep.
-
-    Returns (summary, monotone_reports, air_reports, ok); the report lists
-    are populated only when collect_reports is set (they can be large)."""
-    n = cfg.n
-    trees = enumerate_free_trees(n)
-    pairs = proper_gts_pairs(n)
-    match = parse_shape_pattern(cfg.lambda_filter)
-    lambdas = [lam for lam in enumerate_partitions(n) if match(lam)]
-    # each distinct gamma vector is assembled once per tree; air row i is
-    # the m-basis gamma at shape 2^i,1^(n-2i), so it shares those vectors
-    gamma_index: dict[tuple[Fraction, ...], int] = {}
-
-    def slot(basis: str, lam: Partition) -> int:
-        gamma_j = involution_class_values(power_expansion(basis, lam))
-        return gamma_index.setdefault(gamma_j, len(gamma_index))
-
-    slots = {(basis, lam.parts): slot(basis, lam) for basis in cfg.bases for lam in lambdas}
-    air_slots = [slot("m", Partition.involution_shape(n, i)) for i in range(n // 2 + 1)]
-    gammas = tuple(gamma_index)
-    payloads = [
-        (n, t.code, tuple(t.representative.edges()), gammas, air_slots) for t in trees
-    ]
-    workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tree_tables_worker, payloads, chunksize=1))
-    else:
-        results = [_tree_tables_worker(p) for p in payloads]
-    coeff_tables = {code: coeffs for code, coeffs, _ in results}
-    air_tables = {code: air for code, _, air in results}
-
-    monotone_reports = []
-    air_reports = []
-    failures: list[str] = []
-    monotone_total = monotone_failed = 0
-    air_total = air_failed = 0
-    for pair in pairs:
-        lo, up = pair.lower.code, pair.upper.code
-        for basis in cfg.bases:
-            mode = cfg.effective_mode(basis)
-            for lam in lambdas:
-                k = slots[(basis, lam.parts)]
-                report = monotone_report_from_coeffs(
-                    lo, up, coeff_tables[lo][k], coeff_tables[up][k],
-                    mode, basis=basis, lam=lam,
-                )
-                monotone_total += 1
-                if not report.ok:
-                    monotone_failed += 1
-                    bad_r = [e.r for e in report.per_r if not e.ok]
-                    failures.append(
-                        f"monotone lower={lo} upper={up} basis={basis} "
-                        f"lambda={lam.to_exp_string()} mode={mode} r={bad_r}"
-                    )
-                if collect_reports:
-                    monotone_reports.append(report)
-        report = air_monotone_report_from_tables(lo, up, air_tables[lo], air_tables[up], n)
-        air_total += 1
-        if not report.ok:
-            air_failed += 1
-            bad = [(e.i, e.r) for e in report.entries if not e.ok]
-            failures.append(f"air lower={lo} upper={up} entries={bad}")
-        if collect_reports:
-            air_reports.append(report)
-
-    summary = {
-        "n": n,
-        "bases": list(cfg.bases),
-        "lambda": cfg.lambda_filter or "*",
-        "mode": cfg.mode,
-        "jobs": cfg.jobs,
-        "trees": len(trees),
-        "pairs": len(pairs),
-        "lambdas": len(lambdas),
-        "monotoneChecks": monotone_total,
-        "monotoneFailures": monotone_failed,
-        "airChecks": air_total,
-        "airFailures": air_failed,
-        "failures": failures,
-    }
-    ok = monotone_failed == 0 and air_failed == 0
-    return summary, monotone_reports, air_reports, ok
-
-
-def _sweep_report_text(cfg: SweepConfig, summary: dict,
-                       monotone_reports, air_reports) -> str:
-    if cfg.fmt == "json":
-        obj = {
-            "config": {
-                "n": cfg.n,
-                "bases": list(cfg.bases),
-                "lambda": cfg.lambda_filter or "*",
-                "mode": cfg.mode,
-            },
-            "summary": {k: v for k, v in summary.items() if k not in ("failures", "jobs")},
-            "monotone": [r.to_json_obj() for r in monotone_reports],
-            "air": [r.to_json_obj() for r in air_reports],
-        }
-        return _json_dump(obj)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
-                     "difference", "pass"])
-    for rep in monotone_reports:
-        lam_s = ",".join(map(str, rep.lam.parts)) if rep.lam else ""
-        for e in rep.per_r:
-            writer.writerow(["monotone", rep.lower_code, rep.upper_code, rep.basis,
-                             lam_s, rep.mode, "", e.r, e.difference.csv_cell(),
-                             "pass" if e.ok else "FAIL"])
-    for rep in air_reports:
-        for e in rep.entries:
-            writer.writerow(["air", rep.lower_code, rep.upper_code, "", "", "",
-                             e.i, e.r, e.difference.csv_cell(),
-                             "pass" if e.ok else "FAIL"])
-    return buf.getvalue()
+    return sweep(cfg, collect_reports)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .sweep import SweepConfig, sweep_report_text
+
     opts = _Options(args)
     try:
         bases_text = opts.get("bases", ",".join(BASES))
@@ -591,12 +398,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary, monotone_reports, air_reports, ok = run_sweep(
-        cfg, collect_reports=cfg.out is not None
-    )
+    result = run_sweep(cfg, collect_reports=cfg.out is not None)
     if cfg.out is not None:
-        _write_or_print(_sweep_report_text(cfg, summary, monotone_reports, air_reports),
-                        cfg.out)
+        _write_or_print(sweep_report_text(cfg, result), cfg.out)
+    summary, ok = result.summary, result.ok
     print(
         f"verify n={cfg.n} bases={','.join(cfg.bases)} lambda={summary['lambda']} "
         f"mode={cfg.mode} jobs={cfg.jobs}"

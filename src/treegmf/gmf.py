@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 from typing import Literal, Sequence
 
 from .gts import GtsPair
@@ -50,6 +50,7 @@ from .qpoly import QP_ONE, QP_ZERO, QPolynomial, XQPolynomial
 from .symfunc import (
     ClassFunctionValue,
     PowerExpansion,
+    alphas,
     inverse_frobenius,
     involution_class_values,
     power_expansion,
@@ -340,17 +341,12 @@ def verify_coeff_formula(tree: LabeledTree, gamma: PowerExpansion) -> bool:
     n = tree.n
     poly = gmf_poly_matching(tree, gamma).poly
     table = air_table(tree)
-    gamma_j = involution_class_values(gamma)
-    half = n // 2
-    alphas = [
-        sum((comb(i, j) * gamma_j[j] for j in range(i + 1)), Fraction(0))
-        for i in range(half + 1)
-    ]
+    alpha = alphas(involution_class_values(gamma))
     for r in range(n + 1):
         acc = QP_ZERO
-        for i in range(min(r // 2, half) + 1):
-            if alphas[i]:
-                acc = acc + table.at(i, r) * alphas[i]
+        for i in range(min(r // 2, n // 2) + 1):
+            if alpha[i]:
+                acc = acc + table.at(i, r) * alpha[i]
         if acc != poly.signed_coefficient(r):
             return False
     return True

@@ -70,7 +70,7 @@ def gts_shift(tree: LabeledTree, x: int, y: int) -> LabeledTree:
             edges.append((x, u))
         else:
             edges.append((u, v))
-    return LabeledTree(tree.n, edges)
+    return LabeledTree._trusted(tree.n, edges)
 
 
 def shift_is_proper(tree: LabeledTree, x: int, y: int) -> bool:

@@ -1,0 +1,405 @@
+"""The monotonicity sweep over every proper shift pair of n-vertex trees.
+
+For every pair (lower, upper) of `proper_gts_pairs(n)`, every basis and every
+selected shape lam, the sweep checks that each signed coefficient c_r of
+d_gamma(xI - L) weakly decreases from lower to upper in the non-negative q^2
+cone (for the f basis, in auto mode, after taking coefficient-wise absolute
+values), and that every entry of the a[i][r] table does.
+
+The checks run in a[i][r] coordinates.  With alpha_i(gamma) the binomial
+transform of gamma's involution-class values,
+
+    c_r(gamma) = sum_i alpha_i(gamma) * a[i][r],
+
+where a[i][r] is c_r of the monomial-basis polynomial at shape 2^i,1^(n-2i)
+divided by 2^i, an integer polynomial in u = q^2.  So along a pair the signed
+difference of any check is sum_i alpha_i * Delta_i with
+Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is a
+combination of at most n/2+1 difference rows.
+
+* Per tree, a worker builds the integer rows a[i][r][e] (coefficient of u^e)
+  from the tree's matching profile, and for each absolute-mode gamma vector
+  the rows |c_r| as integers (its alphas cleared to integers A over a
+  denominator D).
+* Each row is Kronecker-packed over (r, e) into one int with signed slots
+  (`SlotPacking`).  Packing is linear, so a pair's packed Delta_i is one
+  subtraction of the two trees' packed rows.  One slot width serves the
+  whole sweep, sized from its largest |a| (|Delta| is at most twice that)
+  times its largest sum_i |A_i|, plus the sign bit.
+* Per pair and distinct (gamma vector, mode): s = sum_i A_i Delta_i, or the
+  difference of the two packed |c_r| rows in absolute mode, and one cone
+  test on every slot at once: adding the bias that sets only each slot's top
+  bit leaves every slot's top bit set exactly when every slot is >= 0.
+* Every (pair, basis, lam) check is counted and gets its own failure line;
+  checks that share a gamma vector share its result, and none is skipped
+  because another implies it.
+* Differences are decoded into q-polynomials only when a report is asked for
+  or a check fails.  A report formats each (pair, vector) block once, and
+  every (basis, lam) that shares the vector reuses it.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import os
+from dataclasses import dataclass
+from math import lcm
+
+from . import gmf
+from .gts import GtsPair, proper_gts_pairs
+from .partitions import Partition, enumerate_partitions
+from .qpoly import QPolynomial
+from .symfunc import BASES, alphas, involution_class_values, power_expansion
+from .trees import CanonicalTree, enumerate_free_trees
+
+
+def parse_shape_pattern(text: str | None):
+    """Shape patterns for --lambda: a comma list of tokens "V", "V^E",
+    "V^k" or "V^*" (the last two meaning any multiplicity, zero included).
+    A shape matches when its part values are among the tokens' values and
+    every fixed multiplicity is met.  "*" or omission matches everything."""
+    if text is None or text.strip() == "*":
+        return lambda lam: True
+    fixed: dict[int, int] = {}
+    free: set[int] = set()
+    for token in text.split(","):
+        token = token.strip()
+        v_s, caret, m_s = token.partition("^")
+        try:
+            v = int(v_s)
+            if m_s in ("k", "*"):
+                free.add(v)
+            elif caret:
+                fixed[v] = int(m_s)
+                if fixed[v] < 0:
+                    raise ValueError
+            else:
+                fixed[v] = fixed.get(v, 0) + 1
+        except ValueError:
+            raise ValueError(f"bad shape pattern {text!r}: token {token!r}") from None
+    allowed = set(fixed) | free
+
+    def match(lam: Partition) -> bool:
+        form = lam.exponential_form()
+        if any(v not in allowed for v in form):
+            return False
+        return all(form.get(v, 0) == m for v, m in fixed.items())
+
+    return match
+
+
+@dataclass
+class SweepConfig:
+    """Configuration of one verification sweep."""
+
+    n: int
+    bases: tuple[str, ...] = BASES
+    lambda_filter: str | None = None
+    mode: str = "auto"  # signed | absolute | auto (absolute for f, signed otherwise)
+    out: str | None = None
+    fmt: str = "json"
+    jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError("sweep needs n >= 2")
+        if not self.bases:
+            raise ValueError("sweep needs at least one basis")
+        bad = [b for b in self.bases if b not in BASES]
+        if bad:
+            raise ValueError(f"unknown bases {bad}")
+        if self.mode not in ("signed", "absolute", "auto"):
+            raise ValueError(f"mode must be signed, absolute or auto, got {self.mode}")
+        if self.fmt not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {self.fmt}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        parse_shape_pattern(self.lambda_filter)
+
+    def effective_mode(self, basis: str) -> str:
+        if self.mode == "auto":
+            return "absolute" if basis == "f" else "signed"
+        return self.mode
+
+
+def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
+    """Worker processes for a sweep: the requested jobs, but no more than the
+    processors (cpus, from os.cpu_count(), may be None) or the tasks."""
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
+class SlotPacking:
+    """`count` signed integers packed into one int, slot k holding value v_k
+    as v_k * 2^(k W).  W is a whole number of bytes, wide enough that every
+    |v| <= bound fits with its sign: 2^(W-1) > bound."""
+
+    def __init__(self, count: int, bound: int) -> None:
+        self.count = count
+        self.width = bound.bit_length() // 8 + 1  # bytes per slot
+        self.half = 1 << (8 * self.width - 1)
+        # only the top bit of every slot set
+        self.bias = int.from_bytes((bytes(self.width - 1) + b"\x80") * count, "little")
+
+    def pack(self, values: list[int]) -> int:
+        w, half = self.width, self.half
+        data = b"".join((v + half).to_bytes(w, "little") for v in values)
+        return int.from_bytes(data, "little") - self.bias
+
+    def unpack(self, packed: int) -> list[int]:
+        w, half = self.width, self.half
+        data = (packed + self.bias).to_bytes(w * self.count, "little")
+        return [int.from_bytes(data[k:k + w], "little") - half for k in range(0, len(data), w)]
+
+    def nonnegative(self, packed: int) -> bool:
+        """Every slot >= 0.  Adding the bias shifts each slot into
+        [0, 2^W) without carries, and the slot's top bit is then set
+        exactly when its value is >= 0."""
+        return (packed + self.bias) & self.bias == self.bias
+
+
+def tree_rows(payload) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-tree worker.  Returns the integer rows a[i] for i = 0..n/2, each
+    flat over (r, e) with entry r*(n+1)+e the coefficient of u^e = q^(2e) in
+    a[i][r], and for each integer alpha vector A the row |sum_i A_i a[i]|.
+
+    Row i is c_r of the m-basis polynomial whose involution-class values are
+    air_gammas[i] (the shape 2^i,1^(n-2i)), divided by 2^i; a non-integral
+    entry raises ValueError."""
+    tree, air_gammas, abs_alphas = payload
+    n = tree.n
+    # looked up on the module at call time, so wrappers installed on
+    # treegmf.gmf (perfbench/tracer.py) also see calls from pool workers
+    profile = gmf.matching_profile(tree)
+    rows = []
+    for i, gamma_j in enumerate(air_gammas):
+        row = []
+        for r, c in enumerate(gmf.coefficients_from_profile(profile, n, gamma_j).signed):
+            den = c.den << i
+            evens = c.nums[::2]  # odd powers of q are zero
+            if any(v % den for v in evens):
+                raise ValueError(f"a[{i}][{r}] of tree {tree.edges()} is not integral: {c}")
+            row += [v // den for v in evens]
+            row += [0] * (n + 1 - len(evens))
+        rows.append(row)
+    abs_rows = []
+    for coeffs in abs_alphas:
+        acc = [0] * len(rows[0])
+        for a, row in zip(coeffs, rows):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, row)]
+        abs_rows.append([abs(x) for x in acc])
+    return rows, abs_rows
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Outcome of a sweep.  checks lists every (basis, lam, mode, vector)
+    in report order, vector indexing the pair's blocks.  pairs holds, only
+    when reports were asked for, per pair (lower code, upper code, blocks,
+    air block): block k is the tuple over r of (difference, pass) of vector
+    k, the air block the tuple over (i, r) of (difference, pass)."""
+
+    summary: dict
+    ok: bool
+    checks: tuple[tuple[str, Partition, str, int], ...]
+    pairs: tuple[tuple[str, str, tuple, tuple], ...]
+
+
+def _witness(pair: GtsPair) -> str:
+    path = [v + 1 for v in pair.witness_path]
+    return f"x={pair.witness_x + 1} y={pair.witness_y + 1} path={path}"
+
+
+def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPair],
+                collect_reports: bool = False) -> SweepResult:
+    """Check every pair of `pairs` (their trees among `trees`) for every
+    basis and shape of cfg, and the a[i][r] table along it."""
+    n = cfg.n
+    m = n + 1
+    match = parse_shape_pattern(cfg.lambda_filter)
+    lambdas = [lam for lam in enumerate_partitions(n) if match(lam)]
+    vector_index: dict[tuple, int] = {}
+    checks = []
+    for basis in cfg.bases:
+        mode = cfg.effective_mode(basis)
+        for lam in lambdas:
+            key = (involution_class_values(power_expansion(basis, lam)), mode)
+            checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
+    # per vector: its denominator D, and either the nonzero (i, A_i) of its
+    # alphas cleared to integers (signed) or the index of its |c_r| rows
+    dens, plans, abs_alphas, weight = [], [], [], 1
+    for gamma_j, mode in vector_index:
+        alpha = alphas(gamma_j)
+        den = lcm(*(a.denominator for a in alpha))
+        coeffs = [a.numerator * (den // a.denominator) for a in alpha]
+        weight = max(weight, sum(map(abs, coeffs)))
+        dens.append(den)
+        if mode == "absolute":
+            plans.append(len(abs_alphas))
+            abs_alphas.append(coeffs)
+        else:
+            plans.append([(i, a) for i, a in enumerate(coeffs) if a])
+    air_gammas = tuple(
+        involution_class_values(power_expansion("m", Partition.involution_shape(n, i)))
+        for i in range(n // 2 + 1)
+    )
+    payloads = [(t.representative, air_gammas, abs_alphas) for t in trees]
+    workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(tree_rows, payloads, chunksize=1))
+    else:
+        results = [tree_rows(p) for p in payloads]
+
+    # |Delta| <= 2 max|a|, and |c_r| <= weight * max|a|
+    amax = max(abs(v) for rows, _ in results for row in rows for v in row)
+    slots = SlotPacking(m * m, 2 * amax * weight)
+    packed = {
+        t.code: ([slots.pack(row) for row in rows], [slots.pack(row) for row in abs_rows])
+        for t, (rows, abs_rows) in zip(trees, results)
+    }
+
+    def bad_rs(s: int) -> list[int]:
+        values = slots.unpack(s)
+        return [r for r in range(m) if min(values[r * m:(r + 1) * m]) < 0]
+
+    def block(s: int, den: int) -> tuple:
+        values = slots.unpack(s)
+        out = []
+        for r in range(0, m * m, m):
+            row = values[r:r + m]
+            while row and not row[-1]:
+                row.pop()
+            nums = [0] * (2 * len(row) - 1)
+            nums[::2] = row  # u^e is q^(2e)
+            out.append((QPolynomial.from_ints(nums, den), min(row, default=0) >= 0))
+        return tuple(out)
+
+    report_pairs = []
+    failures: list[str] = []
+    monotone_failed = air_failed = 0
+    for pair in pairs:
+        lo, up = pair.lower.code, pair.upper.code
+        (lo_rows, lo_abs), (up_rows, up_abs) = packed[lo], packed[up]
+        deltas = [a - b for a, b in zip(lo_rows, up_rows)]
+        sums = [
+            lo_abs[plan] - up_abs[plan] if isinstance(plan, int)
+            else sum(a * deltas[i] for i, a in plan)
+            for plan in plans
+        ]
+        oks = [slots.nonnegative(s) for s in sums]
+        if not all(oks):
+            bad = {k: bad_rs(s) for k, s in enumerate(sums) if not oks[k]}
+            for basis, lam, mode, k in checks:
+                if not oks[k]:
+                    monotone_failed += 1
+                    failures.append(
+                        f"monotone lower={lo} upper={up} basis={basis} "
+                        f"lambda={lam.to_exp_string()} mode={mode} r={bad[k]} {_witness(pair)}"
+                    )
+        if not all(map(slots.nonnegative, deltas)):
+            air_failed += 1
+            bad_entries = [(i, r) for i, d in enumerate(deltas) for r in bad_rs(d)]
+            failures.append(f"air lower={lo} upper={up} entries={bad_entries} {_witness(pair)}")
+        if collect_reports:
+            air = tuple(entry for d in deltas for entry in block(d, 1))
+            report_pairs.append(
+                (lo, up, tuple(block(s, dens[k]) for k, s in enumerate(sums)), air)
+            )
+
+    summary = {
+        "n": n,
+        "bases": list(cfg.bases),
+        "lambda": cfg.lambda_filter or "*",
+        "mode": cfg.mode,
+        "jobs": cfg.jobs,
+        "trees": len(trees),
+        "pairs": len(pairs),
+        "lambdas": len(lambdas),
+        "monotoneChecks": len(checks) * len(pairs),
+        "monotoneFailures": monotone_failed,
+        "airChecks": len(pairs),
+        "airFailures": air_failed,
+        "failures": failures,
+    }
+    ok = monotone_failed == 0 and air_failed == 0
+    return SweepResult(summary, ok, tuple(checks), tuple(report_pairs))
+
+
+def run_sweep(cfg: SweepConfig, collect_reports: bool = False) -> SweepResult:
+    """Run the full monotonicity sweep over every free tree and proper shift
+    pair on cfg.n vertices.  Report blocks are kept only when collect_reports
+    is set (they can be large)."""
+    return sweep_pairs(cfg, enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n), collect_reports)
+
+
+def _csv_cells(*fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+def sweep_report_text(cfg: SweepConfig, result: SweepResult) -> str:
+    """The json or csv report of a sweep run with collect_reports set."""
+    if cfg.fmt == "json":
+        monotone, air = [], []
+        for lo, up, blocks, air_block in result.pairs:
+            pair = {"lower": lo, "upper": up}
+            per_r = [
+                [{"r": r, "difference": d.to_json_obj(), "pass": ok}
+                 for r, (d, ok) in enumerate(blk)]
+                for blk in blocks
+            ]
+            passed = [all(ok for _, ok in blk) for blk in blocks]
+            for basis, lam, mode, k in result.checks:
+                monotone.append({"pair": pair, "basis": basis, "lambda": list(lam.parts),
+                                 "mode": mode, "perR": per_r[k], "pass": passed[k]})
+            air.append({
+                "pair": pair,
+                "check": "air-monotone",
+                "entries": [
+                    {"i": k // (cfg.n + 1), "r": k % (cfg.n + 1),
+                     "difference": d.to_json_obj(), "pass": ok}
+                    for k, (d, ok) in enumerate(air_block)
+                ],
+                "pass": all(ok for _, ok in air_block),
+            })
+        obj = {
+            "config": {
+                "n": cfg.n,
+                "bases": list(cfg.bases),
+                "lambda": cfg.lambda_filter or "*",
+                "mode": cfg.mode,
+            },
+            "summary": {k: v for k, v in result.summary.items() if k not in ("failures", "jobs")},
+            "monotone": monotone,
+            "air": air,
+        }
+        return json.dumps(obj, indent=2) + "\n"
+    heads = [
+        _csv_cells(basis, ",".join(map(str, lam.parts)), mode)
+        for basis, lam, mode, _ in result.checks
+    ]
+    out = [_csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
+                      "difference", "pass") + "\r\n"]
+    for lo, up, blocks, _ in result.pairs:
+        # row = prefix (check, pair, basis, lambda, mode, empty i) + tail (r on)
+        tails = [
+            [f"{r},{d.csv_cell()},{'pass' if ok else 'FAIL'}\r\n" for r, (d, ok) in enumerate(blk)]
+            for blk in blocks
+        ]
+        pair = _csv_cells(lo, up)
+        for head, (_, _, _, k) in zip(heads, result.checks):
+            prefix = f"monotone,{pair},{head},,"
+            out.append(prefix + prefix.join(tails[k]))
+    for lo, up, _, air_block in result.pairs:
+        prefix = f"air,{_csv_cells(lo, up)},,,,"
+        out.extend(
+            f"{prefix}{k // (cfg.n + 1)},{k % (cfg.n + 1)},{d.csv_cell()},{'pass' if ok else 'FAIL'}\r\n"
+            for k, (d, ok) in enumerate(air_block)
+        )
+    return "".join(out)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .partitions import Partition, _partition_tuples, enumerate_partitions, mn_character, z_order
 from .qpoly import rational_to_json
@@ -391,26 +391,30 @@ def f_inverse_value(lam: Partition, mu: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
+def alphas(gamma_j: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Binomial transform of involution-class values: alpha_i =
+    sum_{j=0..i} C(i,j) * gamma_j[j] for i = 0..len(gamma_j)-1, where
+    gamma_j[j] is the inverse Frobenius image at cycle type 2^j,1^(n-2j)."""
+    return tuple(
+        sum((comb(i, j) * gamma_j[j] for j in range(i + 1)), Fraction(0))
+        for i in range(len(gamma_j))
+    )
+
+
 def alpha(gamma: PowerExpansion, i: int) -> Fraction:
     """Binomial transform sum_{j=0..i} C(i,j) * Gamma(j), where Gamma(j) is
     the inverse Frobenius image of gamma at cycle type 2^j,1^(n-2j)."""
     n = gamma.n
     if not 0 <= i <= n // 2:
         raise ValueError(f"need 0 <= i <= {n // 2}, got {i}")
-    vals = involution_class_values(gamma)
-    return sum((comb(i, j) * vals[j] for j in range(i + 1)), Fraction(0))
+    return alphas(involution_class_values(gamma))[i]
 
 
 def alpha_table(n: int, basis: str) -> list[tuple[Partition, list[Fraction]]]:
     """Rows (lam, [alpha_0 .. alpha_halfn]) for all lam of n, reverse-lex order."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    rows = []
-    for lam in enumerate_partitions(n):
-        gamma = power_expansion(basis, lam)
-        vals = involution_class_values(gamma)
-        rows.append(
-            (lam, [sum((comb(i, j) * vals[j] for j in range(i + 1)), Fraction(0))
-                   for i in range(n // 2 + 1)])
-        )
-    return rows
+    return [
+        (lam, list(alphas(involution_class_values(power_expansion(basis, lam)))))
+        for lam in enumerate_partitions(n)
+    ]

@@ -30,7 +30,6 @@ class LabeledTree:
             raise ValueError("need at least one vertex")
         if len(edges) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-        nbrs: list[list[int]] = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -40,19 +39,33 @@ class LabeledTree:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+        self._link(n, edges)
         # connectivity: n-1 distinct edges + connected <=> tree
         stack, visited = [0], {0}
         while stack:
-            for w in nbrs[stack.pop()]:
+            for w in self.adj[stack.pop()]:
                 if w not in visited:
                     visited.add(w)
                     stack.append(w)
         if len(visited) != n:
             raise ValueError("edge set is not connected")
+
+    def _link(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        """Set n and the sorted adjacency lists of the edges."""
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledTree":
+        """The tree on edges already known to form a tree on 0..n-1, such as
+        edges built from a valid tree: the checks of __init__ are skipped."""
+        tree = object.__new__(cls)
+        tree._link(n, edges)
+        return tree
 
     @classmethod
     def path(cls, n: int) -> "LabeledTree":
@@ -191,7 +204,7 @@ def _tree_from_levels(levels: list[int]) -> LabeledTree:
     for i in range(1, n):
         edges.append((last[levels[i] - 1], i))
         last[levels[i]] = i
-    return LabeledTree(n, edges)
+    return LabeledTree._trusted(n, edges)
 
 
 @lru_cache(maxsize=None)

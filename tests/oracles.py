@@ -7,8 +7,9 @@ dedup and via the rooted-tree divisor recurrence with Otter's correction,
 path matching counts via the transfer recurrence, the matching profile
 of a tree by visiting every matching, q-polynomial arithmetic on tuples
 of Fraction coefficients, free-tree enumeration with each parent found by
-scanning the level sequence, and the proper-shift pairs found by testing
-every ordered vertex pair of every tree.
+scanning the level sequence, the proper-shift pairs found by testing
+every ordered vertex pair of every tree, and the monotonicity sweep run one
+(pair, basis, shape) check at a time on per-tree q-polynomial tables.
 """
 
 from __future__ import annotations
@@ -282,3 +283,136 @@ class FractionQPolynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _tree_tables(payload):
+    """Per-tree tables from one matching profile: the signed coefficient list
+    of every distinct gamma vector, and the a[i][r] table, whose row i is
+    the vector at index air_slots[i] divided by 2^i."""
+    from treegmf.gmf import coefficients_from_profile, matching_profile
+
+    tree, gammas, air_slots = payload
+    n = tree.n
+    profile = matching_profile(tree)
+    signed = [coefficients_from_profile(profile, n, gamma_j).signed for gamma_j in gammas]
+    air_values = {}
+    for i, slot in enumerate(air_slots):
+        scale = Fraction(1, 2**i)
+        for r, c in enumerate(signed[slot]):
+            air_values[(i, r)] = c * scale
+    return signed, air_values
+
+
+def tabled_sweep(cfg, trees, pairs, collect_reports=False):
+    """The monotonicity sweep of treegmf.sweep.sweep_pairs, one
+    monotone_report_from_coeffs per (pair, basis, shape) and one
+    air_monotone_report_from_tables per pair, on per-tree tables of
+    QPolynomials.  Returns (summary, monotone_reports, air_reports, ok); the
+    report lists are filled only when collect_reports is set, and failure
+    lines carry no shift witness."""
+    from treegmf import Partition, enumerate_partitions, involution_class_values, power_expansion
+    from treegmf.gmf import air_monotone_report_from_tables, monotone_report_from_coeffs
+    from treegmf.sweep import parse_shape_pattern
+
+    n = cfg.n
+    match = parse_shape_pattern(cfg.lambda_filter)
+    lambdas = [lam for lam in enumerate_partitions(n) if match(lam)]
+    gamma_index = {}
+
+    def slot(basis, lam):
+        gamma_j = involution_class_values(power_expansion(basis, lam))
+        return gamma_index.setdefault(gamma_j, len(gamma_index))
+
+    slots = {(basis, lam.parts): slot(basis, lam) for basis in cfg.bases for lam in lambdas}
+    air_slots = [slot("m", Partition.involution_shape(n, i)) for i in range(n // 2 + 1)]
+    gammas = tuple(gamma_index)
+    tables = {t.code: _tree_tables((t.representative, gammas, air_slots)) for t in trees}
+
+    monotone_reports = []
+    air_reports = []
+    failures = []
+    monotone_total = monotone_failed = 0
+    air_total = air_failed = 0
+    for pair in pairs:
+        lo, up = pair.lower.code, pair.upper.code
+        for basis in cfg.bases:
+            mode = cfg.effective_mode(basis)
+            for lam in lambdas:
+                k = slots[(basis, lam.parts)]
+                report = monotone_report_from_coeffs(
+                    lo, up, tables[lo][0][k], tables[up][0][k], mode, basis=basis, lam=lam,
+                )
+                monotone_total += 1
+                if not report.ok:
+                    monotone_failed += 1
+                    bad_r = [e.r for e in report.per_r if not e.ok]
+                    failures.append(
+                        f"monotone lower={lo} upper={up} basis={basis} "
+                        f"lambda={lam.to_exp_string()} mode={mode} r={bad_r}"
+                    )
+                if collect_reports:
+                    monotone_reports.append(report)
+        report = air_monotone_report_from_tables(lo, up, tables[lo][1], tables[up][1], n)
+        air_total += 1
+        if not report.ok:
+            air_failed += 1
+            bad = [(e.i, e.r) for e in report.entries if not e.ok]
+            failures.append(f"air lower={lo} upper={up} entries={bad}")
+        if collect_reports:
+            air_reports.append(report)
+
+    summary = {
+        "n": n,
+        "bases": list(cfg.bases),
+        "lambda": cfg.lambda_filter or "*",
+        "mode": cfg.mode,
+        "jobs": cfg.jobs,
+        "trees": len(trees),
+        "pairs": len(pairs),
+        "lambdas": len(lambdas),
+        "monotoneChecks": monotone_total,
+        "monotoneFailures": monotone_failed,
+        "airChecks": air_total,
+        "airFailures": air_failed,
+        "failures": failures,
+    }
+    ok = monotone_failed == 0 and air_failed == 0
+    return summary, monotone_reports, air_reports, ok
+
+
+def tabled_report_text(cfg, summary, monotone_reports, air_reports) -> str:
+    """The verify report written from tabled_sweep's report objects with
+    json.dumps and csv.writer."""
+    import csv
+    import io
+    import json
+
+    if cfg.fmt == "json":
+        obj = {
+            "config": {
+                "n": cfg.n,
+                "bases": list(cfg.bases),
+                "lambda": cfg.lambda_filter or "*",
+                "mode": cfg.mode,
+            },
+            "summary": {k: v for k, v in summary.items() if k not in ("failures", "jobs")},
+            "monotone": [r.to_json_obj() for r in monotone_reports],
+            "air": [r.to_json_obj() for r in air_reports],
+        }
+        return json.dumps(obj, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
+                     "difference", "pass"])
+    for rep in monotone_reports:
+        lam_s = ",".join(map(str, rep.lam.parts)) if rep.lam else ""
+        for e in rep.per_r:
+            writer.writerow(["monotone", rep.lower_code, rep.upper_code, rep.basis,
+                             lam_s, rep.mode, "", e.r, e.difference.csv_cell(),
+                             "pass" if e.ok else "FAIL"])
+    for rep in air_reports:
+        for e in rep.entries:
+            writer.writerow(["air", rep.lower_code, rep.upper_code, "", "", "",
+                             e.i, e.r, e.difference.csv_cell(),
+                             "pass" if e.ok else "FAIL"])
+    return buf.getvalue()

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from treegmf import LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
-from treegmf.cli import main, parse_partition_arg, parse_shape_pattern, pool_size
+from treegmf.cli import main, parse_partition_arg
+from treegmf.sweep import parse_shape_pattern, pool_size
 from treegmf.partitions import Partition
 
 
@@ -188,6 +189,19 @@ def test_cmd_gmf_errors(capsys, p3_file, tmp_path):
     capsys.readouterr()
 
 
+def test_negative_multiplicity_is_rejected(capsys, p3_file):
+    assert run_cli("gmf", "--tree", p3_file, "--basis", "m", "--lambda", "2^-1,3^1") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli("verify", "--n", "5", "--lambda", "2^-1") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ValueError):
+        parse_partition_arg("3^1,2^-1")
+    with pytest.raises(ValueError):
+        parse_shape_pattern("2^-1,1^*")
+    assert parse_partition_arg("3^1,2^0").parts == (3,)
+    assert parse_shape_pattern("2^0,1^*")(Partition([1, 1]))
+
+
 def test_cmd_gmf_oracle_guard(tmp_path, capsys):
     path = tmp_path / "p10.txt"
     path.write_text(tree_to_edge_text(LabeledTree.path(10)))
@@ -280,6 +294,17 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, treegmf.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_sweep_engine_unloaded():
+    # gmf and the other subcommands start without compiling treegmf.sweep
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treegmf.cli; print('treegmf.sweep' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0

@@ -218,3 +218,15 @@ def test_chain_walk_finds_every_proper_shift_once(n, rng):
         assert path == tree_path(tree, x, y)
         forward = ahu_canonical(gts_shift(tree, x, y)).code
         assert forward == ahu_canonical(gts_shift(tree, y, x)).code
+
+
+def test_shifted_trees_equal_their_checked_construction():
+    # gts_shift builds its result without validation
+    for n in range(3, 11):
+        for ct in enumerate_free_trees(n):
+            tree = ct.representative
+            for x in range(n):
+                for y in range(n):
+                    if x != y and all(tree.degree(v) == 2 for v in tree_path(tree, x, y)[1:-1]):
+                        shifted = gts_shift(tree, x, y)
+                        assert LabeledTree(n, shifted.edges()) == shifted

@@ -217,3 +217,28 @@ def test_canonical_code_of_a_long_path():
     code = ahu_canonical(LabeledTree.path(3000)).code
     # rooted at a middle vertex: the two halves, longer first
     assert code == "(" + "(" * 1500 + ")" * 1500 + "(" * 1499 + ")" * 1499 + ")"
+
+
+def test_enumerated_trees_equal_their_checked_construction():
+    # enumerated representatives are built without validation
+    for n in range(1, 11):
+        for ct in enumerate_free_trees(n):
+            rep = ct.representative
+            assert LabeledTree(n, rep.edges()) == rep
+
+
+@pytest.mark.parametrize("text", [
+    "3\n1 2\n1 2\n",  # duplicate edge
+    "4\n1 2\n2 3\n3 1\n",  # cycle, vertex 4 unreached
+    "3\n1 2\n2 4\n",  # endpoint out of range
+    "3\n1 1\n2 3\n",  # self-loop
+    '{"n": 3, "edges": [[1, 2]]}',  # too few edges
+])
+def test_malformed_parsed_trees_are_rejected(text):
+    with pytest.raises(ValueError):
+        parse_tree(text)
+
+
+def test_relabel_validates_the_permutation():
+    with pytest.raises(ValueError):
+        LabeledTree.path(3).relabel([0, 0, 1])
