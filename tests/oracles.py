@@ -6,10 +6,12 @@ recurrence, character degrees via hook lengths, free-tree counts via Prüfer
 dedup and via the rooted-tree divisor recurrence with Otter's correction,
 path matching counts via the transfer recurrence, the matching profile
 of a tree by visiting every matching, q-polynomial arithmetic on tuples
-of Fraction coefficients, free-tree enumeration with each parent found by
-scanning the level sequence, the proper-shift pairs found by testing
-every ordered vertex pair of every tree, and the monotonicity sweep run one
-(pair, basis, shape) check at a time on per-tree q-polynomial tables.
+of Fraction coefficients, canonical codes from one pass for the centroids
+and one rooted pass per centroid, free-tree enumeration with each parent
+found by scanning the level sequence, the proper-shift pairs found by
+testing every ordered vertex pair of every tree, the monotonicity sweep run
+one (pair, basis, shape) check at a time on per-tree q-polynomial tables,
+and the poset and verify json reports written by json.dumps.
 """
 
 from __future__ import annotations
@@ -165,17 +167,28 @@ def scanned_tree_from_levels(levels: list[int]):
     return LabeledTree(n, edges)
 
 
+def two_pass_canonical_code(tree) -> str:
+    """The canonical code of a LabeledTree as the smaller rooted code over its
+    centroids: one pass finds the centroids, and each gets its own rooted
+    code pass."""
+    from treegmf import centroids, rooted_code
+
+    return min(rooted_code(tree, c) for c in centroids(tree))
+
+
 def scanned_free_trees(n: int) -> list:
     """treegmf.enumerate_free_trees(n) with trees built by
-    scanned_tree_from_levels: the first rooted level sequence met for each
-    class gives its representative, sorted by canonical code."""
-    from treegmf import ahu_canonical
+    scanned_tree_from_levels and coded by two_pass_canonical_code: the first
+    rooted level sequence met for each class gives its representative,
+    sorted by canonical code."""
+    from treegmf import CanonicalTree
     from treegmf.trees import _rooted_level_sequences
 
     found = {}
     for levels in _rooted_level_sequences(n):
-        cand = ahu_canonical(scanned_tree_from_levels(levels))
-        found.setdefault(cand.code, cand)
+        tree = scanned_tree_from_levels(levels)
+        code = two_pass_canonical_code(tree)
+        found.setdefault(code, CanonicalTree(code=code, n=n, representative=tree))
     return [found[c] for c in sorted(found)]
 
 
@@ -184,7 +197,7 @@ def scanned_proper_pairs(n: int) -> list[tuple]:
     the proper-shift relation on n vertices, found by testing all ordered
     vertex pairs (x, y) of each representative with shift_is_proper and
     keeping the first witness in (x, y) order, sorted by the two codes."""
-    from treegmf import ahu_canonical, enumerate_free_trees, gts_shift, shift_is_proper, tree_path
+    from treegmf import enumerate_free_trees, gts_shift, shift_is_proper, tree_path
 
     pairs = {}
     for lower in enumerate_free_trees(n):
@@ -193,10 +206,73 @@ def scanned_proper_pairs(n: int) -> list[tuple]:
             for y in range(n):
                 if x == y or not shift_is_proper(rep, x, y):
                     continue
-                upper = ahu_canonical(gts_shift(rep, x, y)).code
+                upper = two_pass_canonical_code(gts_shift(rep, x, y))
                 if upper != lower.code:
                     pairs.setdefault((lower.code, upper), (x, y, tree_path(rep, x, y)))
     return [key + pairs[key] for key in sorted(pairs)]
+
+
+def pairs_to_json_obj(n: int, pairs) -> dict:
+    """The poset json report as an object, for json.dumps(obj, indent=2)."""
+    return {
+        "n": n,
+        "pairs": [
+            {
+                "lower": p.lower.code,
+                "upper": p.upper.code,
+                "witness": {
+                    "x": p.witness_x + 1,
+                    "y": p.witness_y + 1,
+                    "path": [v + 1 for v in p.witness_path],
+                    "tree": {
+                        "n": n,
+                        "edges": [[u + 1, v + 1] for u, v in p.lower.representative.edges()],
+                    },
+                },
+            }
+            for p in pairs
+        ],
+    }
+
+
+def dumped_sweep_report_text(cfg, result) -> str:
+    """The json verify report of a treegmf.sweep.SweepResult built as one
+    object, each check with its own copy of its perR list, and written by
+    json.dumps(obj, indent=2)."""
+    import json
+
+    monotone, air = [], []
+    for lo, up, blocks, air_block in result.pairs:
+        pair = {"lower": lo, "upper": up}
+        for basis, lam, mode, k in result.checks:
+            monotone.append({
+                "pair": pair, "basis": basis, "lambda": list(lam.parts), "mode": mode,
+                "perR": [{"r": r, "difference": d.to_json_obj(), "pass": ok}
+                         for r, (d, ok) in enumerate(blocks[k])],
+                "pass": all(ok for _, ok in blocks[k]),
+            })
+        air.append({
+            "pair": pair,
+            "check": "air-monotone",
+            "entries": [
+                {"i": k // (cfg.n + 1), "r": k % (cfg.n + 1),
+                 "difference": d.to_json_obj(), "pass": ok}
+                for k, (d, ok) in enumerate(air_block)
+            ],
+            "pass": all(ok for _, ok in air_block),
+        })
+    obj = {
+        "config": {
+            "n": cfg.n,
+            "bases": list(cfg.bases),
+            "lambda": cfg.lambda_filter or "*",
+            "mode": cfg.mode,
+        },
+        "summary": {k: v for k, v in result.summary.items() if k not in ("failures", "jobs")},
+        "monotone": monotone,
+        "air": air,
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 class FractionQPolynomial:

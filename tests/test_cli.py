@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from treegmf import LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
-from treegmf.cli import main, parse_partition_arg
+from treegmf.cli import _write_or_print, main, parse_partition_arg
 from treegmf.sweep import parse_shape_pattern, pool_size
 from treegmf.partitions import Partition
 
@@ -202,6 +202,23 @@ def test_negative_multiplicity_is_rejected(capsys, p3_file):
     assert parse_shape_pattern("2^0,1^*")(Partition([1, 1]))
 
 
+@pytest.mark.parametrize("command", [
+    ["gmf", "--basis", "m", "--lambda", "2"],
+    ["air-table"],
+])
+@pytest.mark.parametrize("text", [
+    '{"edges": [[1, 2]]}',
+    '{"n": 2, "edges": 5}',
+    '{"n": 2, "edges": [[1, 2, 3]]}',
+])
+def test_malformed_json_tree_file_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli(*command, "--tree", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cmd_gmf_oracle_guard(tmp_path, capsys):
     path = tmp_path / "p10.txt"
     path.write_text(tree_to_edge_text(LabeledTree.path(10)))
@@ -349,6 +366,14 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert run_cli("verify", "--n", "4", "--out", "sub/report.json") == 0
     capsys.readouterr()
     assert (tmp_path / "sub" / "report.json").exists()
+
+
+def test_report_longer_than_one_write_slice_is_written_whole(tmp_path, capsys):
+    text = "".join(f"line {i}\n" for i in range(30_000))  # about 300 KB
+    _write_or_print(text, str(tmp_path / "big.txt"))
+    assert (tmp_path / "big.txt").read_text() == text
+    _write_or_print(text, None)
+    assert capsys.readouterr().out == text
 
 
 def test_module_entry_point():

@@ -11,9 +11,17 @@ from treegmf import (
     tree_path,
 )
 
-from treegmf.gts import proper_shifts
+import json
 
-from oracles import prufer_to_edges, scanned_proper_pairs
+from treegmf.gts import pairs_to_json_text, proper_shifts
+from treegmf.trees import canonical_code
+
+from oracles import (
+    pairs_to_json_obj,
+    prufer_to_edges,
+    scanned_proper_pairs,
+    two_pass_canonical_code,
+)
 
 
 def test_tree_path():
@@ -230,3 +238,29 @@ def test_shifted_trees_equal_their_checked_construction():
                     if x != y and all(tree.degree(v) == 2 for v in tree_path(tree, x, y)[1:-1]):
                         shifted = gts_shift(tree, x, y)
                         assert LabeledTree(n, shifted.edges()) == shifted
+
+
+def test_canonical_code_of_every_shifted_tree_equals_the_two_pass_code():
+    for n in range(3, 11):
+        for ct in enumerate_free_trees(n):
+            tree = ct.representative
+            for x in range(n):
+                for y in range(n):
+                    if x != y and all(tree.degree(v) == 2 for v in tree_path(tree, x, y)[1:-1]):
+                        shifted = gts_shift(tree, x, y)
+                        assert canonical_code(n, shifted.adj) == two_pass_canonical_code(shifted)
+
+
+def test_pair_classes_are_the_enumerated_classes():
+    for n in range(4, 10):
+        classes = {id(t) for t in enumerate_free_trees(n)}
+        for pair in proper_gts_pairs(n):
+            assert id(pair.lower) in classes and id(pair.upper) in classes
+
+
+def test_poset_json_text_equals_json_dumps():
+    for n in range(2, 13):
+        pairs = proper_gts_pairs(n)
+        want = json.dumps(pairs_to_json_obj(n, pairs), indent=2) + "\n"
+        assert pairs_to_json_text(n, pairs) == want
+    assert pairs_to_json_text(2, proper_gts_pairs(2)) == '{\n  "n": 2,\n  "pairs": []\n}\n'

@@ -17,7 +17,7 @@ from treegmf.gts import GtsPair
 from treegmf.symfunc import alphas
 from treegmf.sweep import SlotPacking, SweepConfig, sweep_pairs, sweep_report_text, tree_rows
 
-from oracles import tabled_report_text, tabled_sweep
+from oracles import dumped_sweep_report_text, tabled_report_text, tabled_sweep
 
 
 def reversed_pairs(n):
@@ -150,3 +150,17 @@ def test_packed_slot_mask_at_slot_boundaries(case):
     assert packed == sum(v << (8 * width * k) for k, v in enumerate(values))
     assert slots.unpack(packed) == values
     assert slots.nonnegative(packed) == all(v >= 0 for v in values)
+
+
+@pytest.mark.parametrize("mode", ["signed", "absolute"])
+def test_json_report_equals_the_json_dumps_writer(mode):
+    cases = [(SweepConfig(n=n, mode=mode), proper_gts_pairs(n)) for n in range(2, 9)]
+    cases += [
+        (SweepConfig(n=5, bases=("f", "s"), mode="signed"), proper_gts_pairs(5)),  # FAIL rows
+        (SweepConfig(n=6, mode=mode), reversed_pairs(6)),  # FAIL rows, air ones too
+        (SweepConfig(n=7, mode=mode, bases=("m",), lambda_filter="2^k,1^*"), proper_gts_pairs(7)),
+        (SweepConfig(n=4, mode=mode, lambda_filter="3^2"), proper_gts_pairs(4)),  # no shapes
+    ]
+    for cfg, pairs in cases:
+        result = sweep_pairs(cfg, enumerate_free_trees(cfg.n), pairs, collect_reports=True)
+        assert sweep_report_text(cfg, result) == dumped_sweep_report_text(cfg, result)

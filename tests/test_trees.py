@@ -16,7 +16,12 @@ from treegmf import (
     tree_to_json_obj,
 )
 from treegmf.qpoly import QPolynomial
-from treegmf.trees import _rooted_level_sequences, tree_from_edge_text
+from treegmf.trees import (
+    _rooted_level_sequences,
+    canonical_code,
+    tree_from_edge_text,
+    tree_from_json_obj,
+)
 
 from oracles import (
     all_labeled_trees_via_prufer,
@@ -24,6 +29,8 @@ from oracles import (
     path_matching_count,
     prufer_to_edges,
     scanned_free_trees,
+    scanned_tree_from_levels,
+    two_pass_canonical_code,
 )
 
 
@@ -242,3 +249,58 @@ def test_malformed_parsed_trees_are_rejected(text):
 def test_relabel_validates_the_permutation():
     with pytest.raises(ValueError):
         LabeledTree.path(3).relabel([0, 0, 1])
+
+
+def test_canonical_code_equals_the_two_pass_code_on_every_free_tree():
+    # every rooted level sequence: each free tree on n <= 12 vertices, most
+    # of them in several labellings
+    for n in range(1, 13):
+        for levels in _rooted_level_sequences(n):
+            tree = scanned_tree_from_levels(levels)
+            assert canonical_code(n, tree.adj) == two_pass_canonical_code(tree)
+
+
+def _random_tree(k, rng, offset=0):
+    if k == 1:
+        return []
+    if k == 2:
+        return [(offset, offset + 1)]
+    seq = tuple(rng.randrange(k) for _ in range(k - 2))
+    return [(u + offset, v + offset) for u, v in prufer_to_edges(seq)]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=40), st.booleans(), st.randoms(use_true_random=False))
+def test_canonical_code_equals_the_two_pass_code_on_random_trees(n, bicentral, rng):
+    if bicentral:
+        # two halves of k vertices joined by one edge: centroids at both ends
+        k = (n + 1) // 2
+        edges = _random_tree(k, rng) + _random_tree(k, rng, k)
+        edges.append((rng.randrange(k), k + rng.randrange(k)))
+        n = 2 * k
+    else:
+        edges = _random_tree(n, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tree = LabeledTree(n, [(perm[u], perm[v]) for u, v in edges])
+    if bicentral:
+        assert len(centroids(tree)) == 2
+    adj = [list(a) for a in tree.adj]
+    for nbrs in adj:
+        rng.shuffle(nbrs)  # any neighbor order
+    assert canonical_code(n, adj) == two_pass_canonical_code(tree)
+    assert ahu_canonical(tree).code == canonical_code(n, adj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"edges": [[1, 2]]},  # no n
+    {"n": 2},  # no edges
+    {"n": 2, "edges": 5},  # edges not a list
+    {"n": 2, "edges": [5]},  # an edge not a pair
+    {"n": 2, "edges": [[1, 2, 3]]},
+    {"n": None, "edges": [[1, 2]]},  # not integers
+    {"n": 2, "edges": [[1, [2]]]},
+])
+def test_malformed_json_tree_objects_raise_value_error(obj):
+    with pytest.raises(ValueError):
+        tree_from_json_obj(obj)
