@@ -8,7 +8,7 @@ every proper generalized tree shift.
 """
 
 from .partitions import Partition, enumerate_partitions, mn_character, z_order
-from .qpoly import Q, Q2, QP_ONE, QP_ZERO, QPolynomial, XQPolynomial, eval_at_q, is_rplus_q2
+from .qpoly import Q, Q2, QP_ONE, QP_ZERO, QPolynomial, XQPolynomial
 from .symfunc import (
     BASES,
     BrickTabloid,
@@ -79,14 +79,12 @@ __all__ = [
     "centroids",
     "enumerate_free_trees",
     "enumerate_partitions",
-    "eval_at_q",
     "f_inverse_value",
     "gmf_poly_bruteforce",
     "gmf_poly_matching",
     "gts_shift",
     "inverse_frobenius",
     "involution_class_values",
-    "is_rplus_q2",
     "m_inverse_value",
     "matching_counts",
     "matchings",

@@ -53,17 +53,25 @@ OUT_DIR_ENV = "TREEGMF_OUT_DIR"
 # ---------------------------------------------------------------------------
 
 
+class ConfigError(ValueError):
+    """A missing or malformed config file, or a config value of the wrong type."""
+
+
 def load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -76,13 +84,17 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
+        self.path = getattr(args, "config", None)
+        self.config = load_config(self.path) if self.path else {}
 
     def get(self, key: str, default=None, conv=None):
         value = getattr(self.args, key.replace("-", "_"), None)
         if value is None and key in self.config:
             raw = self.config[key]
-            value = (conv or str)(raw) if conv is not bool else _as_bool(raw)
+            try:
+                value = (conv or str)(raw) if conv is not bool else _as_bool(raw)
+            except ValueError:
+                raise ConfigError(f"{self.path}: bad value for {key}: {raw!r}") from None
         if value is None:
             value = default
         return value
@@ -496,7 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,11 +26,14 @@ Two evaluators with identical contracts:
   Visiting every matching, and the n! permutation sum, remain as test
   oracles.
 
-The per-shape table a[i][r] is extracted from the monomial-basis polynomials
-at the shapes 2^i,1^(n-2i): a[i][r] = c_r of that polynomial divided by 2^i.
-Every entry lies in the non-negative q^2 cone except the top entry of row 0:
-a[0][n] is the determinant of the q-Laplacian, which equals 1 - q^2 for every
-tree.  Because that entry is tree independent, all pairwise differences along
+The per-shape table a[i][r] is c_r of the monomial-basis polynomial at shape
+2^i,1^(n-2i), divided by 2^i.  That function is (-1)^(j-i) C(j,i) 2^i on the
+class 2^j,1^(n-2j) (brick tabloids, Egecioglu-Remmel 1991), so a[i][r] is
+sum_{j >= i} (-1)^(j-i) C(j,i) c_r(w_j) (air_rows): an integer binomial
+transform of the integer matching profile, with nothing divided.  Every entry
+lies in the non-negative q^2 cone except the top entry of row 0: a[0][n] is
+the determinant of the q-Laplacian, which equals 1 - q^2 for every tree.
+Because that entry is tree independent, all pairwise differences along
 proper shift pairs do lie in the cone; the verify_* helpers check exactly
 that.
 """
@@ -41,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from typing import Literal, Sequence
 
 from .gts import GtsPair
@@ -53,7 +56,6 @@ from .symfunc import (
     alphas,
     inverse_frobenius,
     involution_class_values,
-    power_expansion,
 )
 from .trees import CanonicalTree, LabeledTree, ahu_canonical, rooted_order
 
@@ -304,6 +306,32 @@ def gmf_poly_bruteforce(
 # ---------------------------------------------------------------------------
 
 
+def air_rows(tree: LabeledTree) -> list[list[int]]:
+    """The integer rows a[i] for i = 0..n//2, each flat over (r, e): entry
+    r*(n+1)+e is the coefficient of u^e = q^(2e) in a[i][r].
+
+    Row i is sum_{j >= i} (-1)^(j-i) C(j,i) c_r(w_j), where c_r(w_j) is
+    (-1)^r times the profile's u-coefficients of x^(n-r) in w_j."""
+    n = tree.n
+    m = n + 1
+    ws = []
+    for rows in matching_profile(tree):
+        flat = []
+        for r in range(m):
+            coeffs = rows[n - r]
+            flat += [-c for c in coeffs] if r % 2 else coeffs
+            flat += [0] * (m - len(coeffs))
+        ws.append(flat)
+    out = []
+    for i in range(len(ws)):
+        acc = ws[i]
+        for j in range(i + 1, len(ws)):
+            k = (-1) ** (j - i) * comb(j, i)
+            acc = [a + k * w for a, w in zip(acc, ws[j])]
+        out.append(acc)
+    return out
+
+
 @dataclass(frozen=True)
 class AirTable:
     """Table of the per-shape polynomials a[i][r] of one tree.
@@ -321,18 +349,15 @@ class AirTable:
 
 @lru_cache(maxsize=None)
 def air_table(tree: LabeledTree) -> AirTable:
-    """Extract the full a[i][r] table, 0 <= i <= n//2, 0 <= r <= n."""
-    n = tree.n
-    profile = matching_profile(tree)
+    """The full a[i][r] table, 0 <= i <= n//2, 0 <= r <= n, from air_rows."""
+    m = tree.n + 1
     values: dict[tuple[int, int], QPolynomial] = {}
-    for i in range(n // 2 + 1):
-        lam = Partition.involution_shape(n, i)
-        gamma_j = involution_class_values(power_expansion("m", lam))
-        poly = coefficients_from_profile(profile, n, gamma_j)
-        scale = Fraction(1, 2**i)
-        for r in range(n + 1):
-            values[(i, r)] = poly.signed_coefficient(r) * scale
-    return AirTable(tree=ahu_canonical(tree), n=n, values=values)
+    for i, row in enumerate(air_rows(tree)):
+        for r in range(m):
+            nums = [0] * (2 * m - 1)
+            nums[::2] = row[r * m:(r + 1) * m]  # u^e is q^(2e)
+            values[(i, r)] = QPolynomial.from_ints(nums)
+    return AirTable(tree=ahu_canonical(tree), n=tree.n, values=values)
 
 
 def verify_coeff_formula(tree: LabeledTree, gamma: PowerExpansion) -> bool:

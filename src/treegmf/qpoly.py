@@ -175,12 +175,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def times_q_power(self, m: int) -> "QPolynomial":
-        """Multiply by q^m."""
-        if not self.nums:
-            return QP_ZERO
-        return _make((0,) * m + self.nums, self.den)
-
     def evaluate(self, q0: Rational) -> Fraction:
         """Exact evaluation at q = q0 = a/b: Horner in integers gives
         sum_k nums[k] a^k b^(d-k), d the degree, over den * b^d."""
@@ -252,14 +246,6 @@ Q = QPolynomial((0, 1))
 Q2 = QPolynomial((0, 0, 1))
 
 
-def is_rplus_q2(p: QPolynomial) -> bool:
-    return p.is_rplus_q2()
-
-
-def eval_at_q(p: QPolynomial, q0: Rational) -> Fraction:
-    return p.evaluate(q0)
-
-
 class XQPolynomial:
     """Signed coefficient stack of a degree-n polynomial in x over Q[q].
 
@@ -275,10 +261,6 @@ class XQPolynomial:
         cs += [QP_ZERO] * (n + 1 - len(cs))
         self.n = n
         self.signed: tuple[QPolynomial, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls, n: int) -> "XQPolynomial":
-        return cls(n, ())
 
     @classmethod
     def from_raw(cls, n: int, raw: Sequence[QPolynomial]) -> "XQPolynomial":
@@ -304,14 +286,6 @@ class XQPolynomial:
 
     def __hash__(self) -> int:
         return hash((self.n, self.signed))
-
-    def __add__(self, other: "XQPolynomial") -> "XQPolynomial":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return XQPolynomial(self.n, (a + b for a, b in zip(self.signed, other.signed)))
-
-    def scale(self, c: "QPolynomial | Rational") -> "XQPolynomial":
-        return XQPolynomial(self.n, (a * c for a in self.signed))
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "signedCoefficients": [c.to_json_obj() for c in self.signed]}

@@ -12,14 +12,16 @@ transform of gamma's involution-class values,
     c_r(gamma) = sum_i alpha_i(gamma) * a[i][r],
 
 where a[i][r] is c_r of the monomial-basis polynomial at shape 2^i,1^(n-2i)
-divided by 2^i, an integer polynomial in u = q^2.  So along a pair the signed
-difference of any check is sum_i alpha_i * Delta_i with
-Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is a
-combination of at most n/2+1 difference rows.
+divided by 2^i; by the brick-tabloid rule it is the integer binomial
+transform sum_{j >= i} (-1)^(j-i) C(j,i) c_r(w_j) of the tree's matching
+profile w_j, so an integer polynomial in u = q^2 with nothing divided.  So
+along a pair the signed difference of any check is sum_i alpha_i * Delta_i
+with Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is
+a combination of at most n/2+1 difference rows.
 
-* Per tree, a worker builds the integer rows a[i][r][e] (coefficient of u^e)
-  from the tree's matching profile, and for each absolute-mode gamma vector
-  the rows |c_r| as integers (its alphas cleared to integers A over a
+* Per tree, a worker takes the integer rows a[i][r][e] (coefficient of u^e)
+  from `gmf.air_rows`, and for each absolute-mode gamma vector builds the
+  rows |c_r| as integers (its alphas cleared to integers A over a
   denominator D).
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
   (`SlotPacking`).  Packing is linear, so a pair's packed Delta_i is one
@@ -162,29 +164,14 @@ class SlotPacking:
 
 
 def tree_rows(payload) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-tree worker.  Returns the integer rows a[i] for i = 0..n/2, each
-    flat over (r, e) with entry r*(n+1)+e the coefficient of u^e = q^(2e) in
-    a[i][r], and for each integer alpha vector A the row |sum_i A_i a[i]|.
-
-    Row i is c_r of the m-basis polynomial whose involution-class values are
-    air_gammas[i] (the shape 2^i,1^(n-2i)), divided by 2^i; a non-integral
-    entry raises ValueError."""
-    tree, air_gammas, abs_alphas = payload
-    n = tree.n
+    """Per-tree worker.  Returns the integer rows a[i] of `gmf.air_rows` for
+    i = 0..n/2, each flat over (r, e) with entry r*(n+1)+e the coefficient
+    of u^e = q^(2e) in a[i][r], and for each integer alpha vector A the row
+    |sum_i A_i a[i]|."""
+    tree, abs_alphas = payload
     # looked up on the module at call time, so wrappers installed on
     # treegmf.gmf (perfbench/tracer.py) also see calls from pool workers
-    profile = gmf.matching_profile(tree)
-    rows = []
-    for i, gamma_j in enumerate(air_gammas):
-        row = []
-        for r, c in enumerate(gmf.coefficients_from_profile(profile, n, gamma_j).signed):
-            den = c.den << i
-            evens = c.nums[::2]  # odd powers of q are zero
-            if any(v % den for v in evens):
-                raise ValueError(f"a[{i}][{r}] of tree {tree.edges()} is not integral: {c}")
-            row += [v // den for v in evens]
-            row += [0] * (n + 1 - len(evens))
-        rows.append(row)
+    rows = gmf.air_rows(tree)
     abs_rows = []
     for coeffs in abs_alphas:
         acc = [0] * len(rows[0])
@@ -243,11 +230,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
             abs_alphas.append(coeffs)
         else:
             plans.append([(i, a) for i, a in enumerate(coeffs) if a])
-    air_gammas = tuple(
-        involution_class_values(power_expansion("m", Partition.involution_shape(n, i)))
-        for i in range(n // 2 + 1)
-    )
-    payloads = [(t.representative, air_gammas, abs_alphas) for t in trees]
+    payloads = [(t.representative, abs_alphas) for t in trees]
     workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -84,9 +84,6 @@ class LabeledTree:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adj)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def relabel(self, perm: list[int]) -> "LabeledTree":
         """Relabel vertices: vertex v becomes perm[v]."""
         return LabeledTree(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
@@ -362,22 +359,20 @@ def tree_from_edge_text(text: str) -> LabeledTree:
 
 def tree_from_json_obj(obj: dict) -> LabeledTree:
     """The tree of {"n": N, "edges": [[u, v], ...]} (1-indexed).  A missing
-    key, edges that are not a list or an edge that is not a pair of integers
-    raises ValueError."""
+    key, edges that are not a list, an edge that is not a pair, or an n or a
+    vertex that is not a JSON integer (a float, a boolean, a string) raises
+    ValueError."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('a JSON tree needs the keys "n" and "edges"')
-    edges = obj["edges"]
+    n, edges = obj["n"], obj["edges"]
     if not isinstance(edges, list):
         raise ValueError(f'JSON tree "edges" must be a list of [u, v] pairs, got {edges!r}')
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise ValueError(f"JSON tree edge {e!r} is not a pair [u, v]")
-    try:
-        n = int(obj["n"])
-        pairs = [(int(u) - 1, int(v) - 1) for u, v in edges]
-    except TypeError:
-        raise ValueError(f"JSON tree vertices and n must be integers: {obj!r}") from None
-    return LabeledTree(n, pairs)
+    if any(type(v) is not int for v in [n, *(v for e in edges for v in e)]):
+        raise ValueError(f"JSON tree vertices and n must be integers: {obj!r}")
+    return LabeledTree(n, [(u - 1, v - 1) for u, v in edges])
 
 
 def parse_tree(text: str) -> LabeledTree:

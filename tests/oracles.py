@@ -11,7 +11,8 @@ and one rooted pass per centroid, free-tree enumeration with each parent
 found by scanning the level sequence, the proper-shift pairs found by
 testing every ordered vertex pair of every tree, the monotonicity sweep run
 one (pair, basis, shape) check at a time on per-tree q-polynomial tables,
-and the poset and verify json reports written by json.dumps.
+the a[i][r] rows assembled from the monomial-basis polynomials and divided
+by 2^i, and the poset and verify json reports written by json.dumps.
 """
 
 from __future__ import annotations
@@ -152,6 +153,34 @@ def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]
             trimmed.append(tuple(coeffs))
         out.append(tuple(trimmed))
     return tuple(out)
+
+
+def assembled_air_rows(tree) -> list[list[int]]:
+    """The a[i][r] rows in the layout of treegmf.gmf.air_rows, the long way:
+    row i is c_r of the monomial-basis polynomial at shape 2^i,1^(n-2i),
+    assembled from the matching profile at that function's involution-class
+    values (brick-tabloid counts), then divided by 2^i, each quotient
+    asserted to be an integer."""
+    from treegmf import Partition, m_inverse_value
+    from treegmf.gmf import coefficients_from_profile, matching_profile
+
+    n = tree.n
+    profile = matching_profile(tree)
+    rows = []
+    for i in range(n // 2 + 1):
+        lam = Partition.involution_shape(n, i)
+        gamma_j = [
+            Fraction(m_inverse_value(lam, Partition.involution_shape(n, j)))
+            for j in range(n // 2 + 1)
+        ]
+        row = []
+        for c in coefficients_from_profile(profile, n, gamma_j).signed:
+            den = c.den << i
+            evens = c.nums[::2]
+            assert not any(c.nums[1::2]) and not any(v % den for v in evens), (tree, i, c)
+            row += [v // den for v in evens] + [0] * (n + 1 - len(evens))
+        rows.append(row)
+    return rows
 
 
 def scanned_tree_from_levels(levels: list[int]):

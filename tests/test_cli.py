@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +12,8 @@ from treegmf import LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_
 from treegmf.cli import _write_or_print, main, parse_partition_arg
 from treegmf.sweep import parse_shape_pattern, pool_size
 from treegmf.partitions import Partition
+
+from oracles import prufer_to_edges
 
 
 def run_cli(*argv):
@@ -210,6 +214,8 @@ def test_negative_multiplicity_is_rejected(capsys, p3_file):
     '{"edges": [[1, 2]]}',
     '{"n": 2, "edges": 5}',
     '{"n": 2, "edges": [[1, 2, 3]]}',
+    '{"n": 2.9, "edges": [[1, 2.7]]}',
+    '{"n": 2, "edges": [[true, 2]]}',
 ])
 def test_malformed_json_tree_file_exits_2(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
@@ -359,6 +365,46 @@ def test_cmd_verify_bad_config(capsys):
     assert run_cli("verify", "--n", "1") == 2
     assert run_cli("verify", "--n", "4", "--bases", "zz") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["trees"],
+    ["poset"],
+    ["alpha-table"],
+    ["gmf", "--basis", "m", "--lambda", "2,1"],
+    ["air-table"],
+    ["verify"],
+])
+def test_bad_or_missing_config_file_exits_2(tmp_path, capsys, command, p3_file):
+    if command[0] in ("gmf", "air-table"):
+        command = command + ["--tree", p3_file]
+        bad_value = "max-brute=abc" if command[0] == "gmf" else None
+    else:
+        bad_value = "n=abc"
+    configs = {"missing": tmp_path / "absent.cfg", "no_equals": tmp_path / "no_equals.cfg"}
+    configs["no_equals"].write_text("n=4\njust words\n")
+    if bad_value is not None:
+        configs["bad_value"] = tmp_path / "bad_value.cfg"
+        configs["bad_value"].write_text(bad_value + "\n")
+    for name, path in configs.items():
+        assert run_cli(*command, "--config", str(path)) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err, name
+        assert captured.out == "", name
+
+
+def test_air_table_on_a_24_vertex_random_tree_within_a_second(tmp_path, capsys):
+    rng = random.Random(24)
+    n = 24
+    edges = prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2)))
+    path = tmp_path / "t24.txt"
+    path.write_text(tree_to_edge_text(LabeledTree(n, edges)))
+    t0 = time.perf_counter()
+    code, out = run_cli_capture(capsys, "air-table", "--tree", str(path))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert elapsed < 1.0, elapsed
+    assert len(out.splitlines()) == 1 + (n // 2 + 1) * (n + 1)
 
 
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):

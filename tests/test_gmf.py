@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegmf import (
     BASES,
@@ -22,11 +24,21 @@ from treegmf import (
     verify_coeff_formula,
     verify_monotone,
 )
-from treegmf.gmf import coefficients_from_profile, matching_profile, monotone_report_from_coeffs
+from treegmf.gmf import (
+    air_rows,
+    coefficients_from_profile,
+    matching_profile,
+    monotone_report_from_coeffs,
+)
 from treegmf.qpoly import QP_ZERO, QPolynomial, XQPolynomial
 from treegmf.symfunc import PowerExpansion, involution_class_values
 
-from oracles import FractionQPolynomial, enumerated_matching_profile
+from oracles import (
+    FractionQPolynomial,
+    assembled_air_rows,
+    enumerated_matching_profile,
+    prufer_to_edges,
+)
 
 
 def P(*parts):
@@ -268,8 +280,9 @@ def test_linearity_in_gamma():
             a = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             combo = g1 * a + g2
             lhs = gmf_poly_matching(tree, combo).poly
-            rhs = gmf_poly_matching(tree, g1).poly.scale(a) + gmf_poly_matching(tree, g2).poly
-            assert lhs == rhs
+            p1 = gmf_poly_matching(tree, g1).poly.signed
+            p2 = gmf_poly_matching(tree, g2).poly.signed
+            assert lhs.signed == tuple(c1 * a + c2 for c1, c2 in zip(p1, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +297,31 @@ def test_air_examples():
     s4 = air_table(LabeledTree.star(4))
     assert p4.at(1, 2) == QPolynomial([0, 0, 3])
     assert s4.at(1, 2) == QPolynomial([0, 0, 3])
+
+
+def test_air_rows_equal_the_assembled_rows_on_every_free_tree():
+    for n in range(1, 12):
+        for t in enumerate_free_trees(n):
+            assert air_rows(t.representative) == assembled_air_rows(t.representative), (n, t.code)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=3, max_value=30), st.randoms(use_true_random=False))
+def test_air_rows_equal_the_assembled_rows_on_random_trees(n, rng):
+    tree = LabeledTree(n, prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))))
+    assert air_rows(tree) == assembled_air_rows(tree)
+
+
+def test_air_table_holds_the_assembled_rows_as_q_polynomials():
+    for n in range(1, 11):
+        m = n + 1
+        for t in enumerate_free_trees(n):
+            expected = {
+                (i, r): QPolynomial([c for e in row[r * m:(r + 1) * m] for c in (e, 0)])
+                for i, row in enumerate(assembled_air_rows(t.representative))
+                for r in range(m)
+            }
+            assert air_table(t.representative).values == expected, (n, t.code)
 
 
 def test_air_zero_above_diagonal():

@@ -1,11 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegmf import (
-    LabeledTree,
     Partition,
     enumerate_free_trees,
     involution_class_values,
@@ -15,7 +12,7 @@ from treegmf import (
 from treegmf.cli import main
 from treegmf.gts import GtsPair
 from treegmf.symfunc import alphas
-from treegmf.sweep import SlotPacking, SweepConfig, sweep_pairs, sweep_report_text, tree_rows
+from treegmf.sweep import SlotPacking, SweepConfig, sweep_pairs, sweep_report_text
 
 from oracles import dumped_sweep_report_text, tabled_report_text, tabled_sweep
 
@@ -124,11 +121,6 @@ def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
         for i in range(n // 2 + 1):
             gamma_j = involution_class_values(power_expansion("m", Partition.involution_shape(n, i)))
             assert alphas(gamma_j) == tuple(2**i if k == i else 0 for k in range(n // 2 + 1))
-
-
-def test_tree_rows_rejects_a_non_integral_entry():
-    with pytest.raises(ValueError, match="not integral"):
-        tree_rows((LabeledTree.path(4), ((Fraction(1, 3), 0, 0),), []))
 
 
 @st.composite

@@ -300,6 +300,11 @@ def test_canonical_code_equals_the_two_pass_code_on_random_trees(n, bicentral, r
     {"n": 2, "edges": [[1, 2, 3]]},
     {"n": None, "edges": [[1, 2]]},  # not integers
     {"n": 2, "edges": [[1, [2]]]},
+    {"n": 2.9, "edges": [[1, 2.7]]},  # floats are not truncated
+    {"n": 2.0, "edges": [[1, 2]]},
+    {"n": 2, "edges": [[1, 2.0]]},
+    {"n": 2, "edges": [[True, 2]]},  # nor booleans read as 1
+    {"n": True, "edges": []},
 ])
 def test_malformed_json_tree_objects_raise_value_error(obj):
     with pytest.raises(ValueError):
