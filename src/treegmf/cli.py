@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 # coefficients_from_profile, involution_class_values, matching_profile and
@@ -100,31 +101,30 @@ class _Options:
         return value
 
 
-def resolve_out_path(out: str | None) -> str | None:
-    if out is None:
-        return None
+@contextmanager
+def _report_file(out: str):
+    """A text stream for the --out path (relative paths resolve under
+    $TREEGMF_OUT_DIR when it is set): a temporary file moved over the path
+    only after the last byte, so a failed write leaves the path as it was."""
     base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(out):
-        return os.path.join(base, out)
-    return out
-
-
-def _write_chunked(fh, text: str) -> None:
-    """Write text in 64 KiB slices, so that encoding never copies a large
-    report whole."""
-    step = 1 << 16
-    for start in range(0, len(text), step):
-        fh.write(text[start:start + step])
+    path = os.path.join(base, out) if base and not os.path.isabs(out) else out
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
-    path = resolve_out_path(out)
-    if path is None:
-        _write_chunked(sys.stdout, text)
-    else:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_chunked(fh, text)
+    """Write text in 64 KiB slices, so that encoding never copies a large
+    report whole."""
+    with nullcontext(sys.stdout) if out is None else _report_file(out) as fh:
+        for start in range(0, len(text), 1 << 16):
+            fh.write(text[start:start + (1 << 16)])
 
 
 def parse_partition_arg(text: str) -> Partition:
@@ -392,23 +392,22 @@ def cmd_air_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_sweep(cfg, collect_reports=False):
+def run_sweep(cfg):
     """treegmf.sweep.run_sweep.  The sweep module is imported on first use,
     so the other subcommands start without loading it."""
     from .sweep import run_sweep as sweep
 
-    return sweep(cfg, collect_reports)
+    return sweep(cfg)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .sweep import SweepConfig, sweep_report_text
+    from .sweep import SweepConfig, write_report
 
     opts = _Options(args)
     try:
-        bases_text = opts.get("bases", ",".join(BASES))
         cfg = SweepConfig(
             n=opts.get("n", conv=int) or 0,
-            bases=_parse_bases(bases_text),
+            bases=_parse_bases(opts.get("bases", ",".join(BASES))),
             lambda_filter=opts.get("lambda"),
             mode=opts.get("mode", "auto"),
             out=opts.get("out"),
@@ -418,17 +417,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_sweep(cfg, collect_reports=cfg.out is not None)
+    result = run_sweep(cfg)
     if cfg.out is not None:
-        _write_or_print(sweep_report_text(cfg, result), cfg.out)
+        with _report_file(cfg.out) as fh:
+            write_report(fh, cfg, result)
     summary, ok = result.summary, result.ok
     print(
         f"verify n={cfg.n} bases={','.join(cfg.bases)} lambda={summary['lambda']} "
         f"mode={cfg.mode} jobs={cfg.jobs}"
     )
-    print(
-        f"trees={summary['trees']} pairs={summary['pairs']} lambdas={summary['lambdas']}"
-    )
+    print(f"trees={summary['trees']} pairs={summary['pairs']} lambdas={summary['lambdas']}")
     print(f"monotone checks: {summary['monotoneChecks']}, failures: {summary['monotoneFailures']}")
     print(f"air checks: {summary['airChecks']}, failures: {summary['airFailures']}")
     for line in summary["failures"][:20]:

@@ -35,9 +35,12 @@ a combination of at most n/2+1 difference rows.
 * Every (pair, basis, lam) check is counted and gets its own failure line;
   checks that share a gamma vector share its result, and none is skipped
   because another implies it.
-* Differences are decoded into q-polynomials only when a report is asked for
-  or a check fails.  A report formats each (pair, vector) block once, and
-  every (basis, lam) that shares the vector reuses it; the json report is
+* A report (`write_report`) walks the pairs a second time after the
+  checks, recomputes each pair's sums from the packed rows and decodes each
+  (pair, vector) block once, by one C-level cast of its slots, straight to
+  the text of its cells; every (basis, lam) that shares the vector reuses
+  it.  Each pair's text is written before the next pair's is made, so
+  memory holds one pair, and no q-polynomial is built.  The json report is
   written directly in json.dumps's indent-2 layout, not through the
   encoder.
 """
@@ -48,13 +51,13 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from . import gmf
 from .gts import GtsPair, proper_gts_pairs
 from .partitions import Partition, enumerate_partitions
-from .qpoly import QPolynomial, _reduced
 from .symfunc import BASES, alphas, involution_class_values, power_expansion
 from .trees import CanonicalTree, enumerate_free_trees
 
@@ -134,27 +137,48 @@ def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
     return max(1, min(jobs, cpus or 1, tasks))
 
 
+# memoryview.cast codes that read a slot of 1, 2, 4 or 8 bytes as one
+# signed int; slots are written little-endian
+_CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+
 class SlotPacking:
     """`count` signed integers packed into one int, slot k holding value v_k
     as v_k * 2^(k W).  W is a whole number of bytes, wide enough that every
-    |v| <= bound fits with its sign: 2^(W-1) > bound."""
+    |v| <= bound fits with its sign: 2^(W-1) > bound.  Up to 8 bytes, W is
+    rounded up to 1, 2, 4 or 8, so that one C-level cast decodes every slot."""
 
     def __init__(self, count: int, bound: int) -> None:
         self.count = count
-        self.width = bound.bit_length() // 8 + 1  # bytes per slot
+        need = bound.bit_length() // 8 + 1
+        self.width = next((w for w in (1, 2, 4, 8) if w >= need), need)  # bytes per slot
         self.half = 1 << (8 * self.width - 1)
         # only the top bit of every slot set
         self.bias = int.from_bytes((bytes(self.width - 1) + b"\x80") * count, "little")
+        self._cast = _CASTS.get(self.width)
 
     def pack(self, values: list[int]) -> int:
         w, half = self.width, self.half
         data = b"".join((v + half).to_bytes(w, "little") for v in values)
         return int.from_bytes(data, "little") - self.bias
 
-    def unpack(self, packed: int) -> list[int]:
-        w, half = self.width, self.half
-        data = (packed + self.bias).to_bytes(w * self.count, "little")
-        return [int.from_bytes(data[k:k + w], "little") - half for k in range(0, len(data), w)]
+    def rows(self, packed: int, m: int) -> list[list[int]]:
+        """The slot values in rows of m slots, each cut after its last
+        nonzero value.  Adding the bias shifts each slot into [0, 2^W)
+        without carries; flipping each slot's top bit then leaves v mod 2^W,
+        the slot's two's complement bytes."""
+        w = self.width
+        data = ((packed + self.bias) ^ self.bias).to_bytes(w * self.count, "little")
+        if self._cast:
+            values = memoryview(data).cast(self._cast).tolist()
+        else:
+            values = [int.from_bytes(data[k:k + w], "little", signed=True)
+                      for k in range(0, len(data), w)]
+        # a row's trailing zero slots are its trailing zero bytes
+        return [
+            values[k:k + (len(data[k * w:(k + m) * w].rstrip(b"\0")) + w - 1) // w]
+            for k in range(0, self.count, m)
+        ]
 
     def nonnegative(self, packed: int) -> bool:
         """Every slot >= 0.  Adding the bias shifts each slot into
@@ -185,15 +209,20 @@ def tree_rows(payload) -> tuple[list[list[int]], list[list[int]]]:
 @dataclass(frozen=True)
 class SweepResult:
     """Outcome of a sweep.  checks lists every (basis, lam, mode, vector)
-    in report order, vector indexing the pair's blocks.  pairs holds, only
-    when reports were asked for, per pair (lower code, upper code, blocks,
-    air block): block k is the tuple over r of (difference, pass) of vector
-    k, the air block the tuple over (i, r) of (difference, pass)."""
+    in report order, vector indexing the sums of `_differences`.  The rest
+    is what `write_report` recomputes each pair's differences from: codes
+    holds per pair its (lower, upper) codes, rows per tree code its packed
+    a[i] rows and |c_r| rows, and plans and dens per vector its plan and
+    its denominator D."""
 
     summary: dict
     ok: bool
     checks: tuple[tuple[str, Partition, str, int], ...]
-    pairs: tuple[tuple[str, str, tuple, tuple], ...]
+    codes: tuple[tuple[str, str], ...]
+    slots: SlotPacking
+    rows: dict[str, tuple[list[int], list[int]]]
+    plans: tuple
+    dens: tuple[int, ...]
 
 
 def _witness(pair: GtsPair) -> str:
@@ -201,8 +230,21 @@ def _witness(pair: GtsPair) -> str:
     return f"x={pair.witness_x + 1} y={pair.witness_y + 1} path={path}"
 
 
-def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPair],
-                collect_reports: bool = False) -> SweepResult:
+def _differences(rows: dict, plans, lo: str, up: str) -> tuple[list[int], list[int]]:
+    """The packed rows Delta_i of the pair (lo, up), and per vector its
+    packed sum: sum_i A_i Delta_i, or in absolute mode the difference of the
+    two trees' packed |c_r| rows."""
+    (lo_rows, lo_abs), (up_rows, up_abs) = rows[lo], rows[up]
+    deltas = [a - b for a, b in zip(lo_rows, up_rows)]
+    sums = [
+        lo_abs[plan] - up_abs[plan] if isinstance(plan, int)
+        else sum(a * deltas[i] for i, a in plan)
+        for plan in plans
+    ]
+    return deltas, sums
+
+
+def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPair]) -> SweepResult:
     """Check every pair of `pairs` (their trees among `trees`) for every
     basis and shape of cfg, and the a[i][r] table along it."""
     n = cfg.n
@@ -249,33 +291,13 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     }
 
     def bad_rs(s: int) -> list[int]:
-        values = slots.unpack(s)
-        return [r for r in range(m) if min(values[r * m:(r + 1) * m]) < 0]
+        return [r for r, row in enumerate(slots.rows(s, m)) if min(row, default=0) < 0]
 
-    def block(s: int, den: int) -> tuple:
-        values = slots.unpack(s)
-        out = []
-        for r in range(0, m * m, m):
-            row = values[r:r + m]
-            while row and not row[-1]:
-                row.pop()
-            nums = [0] * (2 * len(row) - 1)
-            nums[::2] = row  # u^e is q^(2e)
-            out.append((QPolynomial.from_ints(nums, den), min(row, default=0) >= 0))
-        return tuple(out)
-
-    report_pairs = []
     failures: list[str] = []
     monotone_failed = air_failed = 0
     for pair in pairs:
         lo, up = pair.lower.code, pair.upper.code
-        (lo_rows, lo_abs), (up_rows, up_abs) = packed[lo], packed[up]
-        deltas = [a - b for a, b in zip(lo_rows, up_rows)]
-        sums = [
-            lo_abs[plan] - up_abs[plan] if isinstance(plan, int)
-            else sum(a * deltas[i] for i, a in plan)
-            for plan in plans
-        ]
+        deltas, sums = _differences(packed, plans, lo, up)
         oks = [slots.nonnegative(s) for s in sums]
         if not all(oks):
             bad = {k: bad_rs(s) for k, s in enumerate(sums) if not oks[k]}
@@ -290,11 +312,6 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
             air_failed += 1
             bad_entries = [(i, r) for i, d in enumerate(deltas) for r in bad_rs(d)]
             failures.append(f"air lower={lo} upper={up} entries={bad_entries} {_witness(pair)}")
-        if collect_reports:
-            air = tuple(entry for d in deltas for entry in block(d, 1))
-            report_pairs.append(
-                (lo, up, tuple(block(s, dens[k]) for k, s in enumerate(sums)), air)
-            )
 
     summary = {
         "n": n,
@@ -312,14 +329,14 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         "failures": failures,
     }
     ok = monotone_failed == 0 and air_failed == 0
-    return SweepResult(summary, ok, tuple(checks), tuple(report_pairs))
+    codes = tuple((p.lower.code, p.upper.code) for p in pairs)
+    return SweepResult(summary, ok, tuple(checks), codes, slots, packed, tuple(plans), tuple(dens))
 
 
-def run_sweep(cfg: SweepConfig, collect_reports: bool = False) -> SweepResult:
+def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full monotonicity sweep over every free tree and proper shift
-    pair on cfg.n vertices.  Report blocks are kept only when collect_reports
-    is set (they can be large)."""
-    return sweep_pairs(cfg, enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n), collect_reports)
+    pair on cfg.n vertices."""
+    return sweep_pairs(cfg, enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n))
 
 
 def _csv_cells(*fields) -> str:
@@ -340,7 +357,13 @@ _JSON_AIR_ENTRY = (
     '          "pass": %s\n        }'
 )
 _JSON_PAIR = '    {\n      "pair": {\n        "lower": "%s",\n        "upper": "%s"\n      },\n'
+_JSON_PASS = ',\n      "pass": %s\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
+_CSV_PASS = {True: "pass", False: "FAIL"}
+# A difference's rows hold the coefficients of u^e = q^(2e); between two of
+# them the q-polynomial has the coefficient 0 of an odd power of q.
+_CSV_SEP = ";0/1;"
+_JSON_SEP = ",\n" + _JSON_COEFF % (0, 1) + ",\n"
 
 
 def _json_list(items: list[str], pad: str) -> str:
@@ -348,18 +371,64 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
 
 
-def _json_difference(d: QPolynomial) -> str:
-    den = d.den
-    return _json_list([_JSON_COEFF % _reduced(c, den) for c in d.nums], " " * 10)
+class _Cells(dict):
+    """c -> form % (c/den in lowest terms), formatted once per c."""
+
+    def __init__(self, den: int, form: str) -> None:
+        super().__init__()
+        self.den, self.form = den, form
+
+    def __missing__(self, c: int) -> str:
+        g = gcd(c, self.den)
+        text = self[c] = self.form % (c // g, self.den // g)
+        return text
 
 
-def _json_report_text(cfg: SweepConfig, result: SweepResult) -> str:
+def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
+    """Write the json or csv report of a sweep to the text stream fh, one
+    pair at a time.  Each pair's differences are recomputed from the packed
+    rows, each (pair, vector) block is decoded and formatted once for every
+    (basis, lam) that shares the vector, and the pair's text is written
+    before the next pair's is made, so the report is never held whole.  Both
+    formats list every air row after every monotone row, so the air rows
+    come from a second walk over the pairs."""
+    m = cfg.n + 1
+    slots = result.slots
+    form, sep = (_JSON_COEFF, _JSON_SEP) if cfg.fmt == "json" else ("%d/%d", _CSV_SEP)
+    cells = {den: _Cells(den, form).__getitem__ for den in {1, *result.dens}}
+
+    def decoded(s: int, cell) -> list[tuple[str, bool]]:
+        """Per row of the packed difference s: its coefficients' texts
+        joined ("" for a zero row), and whether it is >= 0."""
+        ok = slots.nonnegative(s)
+        return [
+            (sep.join(map(cell, row)), ok or min(row, default=0) >= 0)
+            for row in slots.rows(s, m)
+        ]
+
+    def monotone_blocks(lo: str, up: str) -> list[list[tuple[str, bool]]]:
+        _, sums = _differences(result.rows, result.plans, lo, up)
+        return [decoded(s, cells[den]) for s, den in zip(sums, result.dens)]
+
+    def air_block(lo: str, up: str) -> list[tuple[str, bool]]:
+        """The rows of every Delta_i, entry k being (i, r) = divmod(k, m)."""
+        (lo_rows, _), (up_rows, _) = result.rows[lo], result.rows[up]
+        return [row for a, b in zip(lo_rows, up_rows) for row in decoded(a - b, cells[1])]
+
+    write = _write_json if cfg.fmt == "json" else _write_csv
+    write(fh, cfg, result, monotone_blocks, air_block)
+
+
+def _json_array(text: str) -> str:
+    return "[\n" + text + "\n          ]" if text else "[]"
+
+
+def _write_json(fh, cfg, result, monotone_blocks, air_block) -> None:
     """The json report: the bytes json.dumps(obj, indent=2) + "\\n" writes for
     {"config", "summary", "monotone": [check objects], "air": [air objects]}.
-    Each (pair, vector) perR list is formatted once and shared by every
-    (basis, lam) check with that vector.  Only the config and summary go
-    through json.dumps; the rest holds codes (parentheses only), basis and
-    mode names, and numbers, so nothing needs escaping."""
+    Only the config and summary go through json.dumps; the rest holds codes
+    (parentheses only), basis and mode names, and numbers, so nothing needs
+    escaping."""
     head = json.dumps({
         "config": {
             "n": cfg.n,
@@ -375,61 +444,63 @@ def _json_report_text(cfg: SweepConfig, result: SweepResult) -> str:
         % (basis, _json_list(["        %d" % p for p in lam.parts], " " * 6), mode)
         for basis, lam, mode, _ in result.checks
     ]
-    # the checks go into one list of shared pieces, joined once at the end;
     # head[:-2] drops the closing "\n}" of the config and summary object
-    parts = [head[:-2], ',\n  "monotone": [']
+    fh.write(head[:-2] + ',\n  "monotone": [')
     sep = "\n"
-    air = []
-    m = cfg.n + 1
-    for lo, up, blocks, air_block in result.pairs:
+    for lo, up in result.codes:
         pair = _JSON_PAIR % (lo, up)
         # per vector: its perR list and the check's closing pass line
         tails = [
-            _json_list([_JSON_PER_R % (r, _json_difference(d), _JSON_BOOL[ok])
-                        for r, (d, ok) in enumerate(blk)], " " * 6)
-            + ',\n      "pass": %s\n    }' % _JSON_BOOL[all(ok for _, ok in blk)]
-            for blk in blocks
+            _json_list([_JSON_PER_R % (r, _json_array(text), _JSON_BOOL[ok])
+                        for r, (text, ok) in enumerate(blk)], " " * 6)
+            + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blk)]
+            for blk in monotone_blocks(lo, up)
         ]
+        parts = []
         for head_c, (_, _, _, k) in zip(heads, result.checks):
             parts += (sep, pair, head_c, tails[k])
             sep = ",\n"
+        fh.write("".join(parts))
+    fh.write(("\n  ]" if sep != "\n" else "]") + ',\n  "air": ' + ("[" if result.codes else "[]"))
+    m = cfg.n + 1
+    sep = "\n"
+    for lo, up in result.codes:
+        blk = air_block(lo, up)
         entries = [
-            _JSON_AIR_ENTRY % (k // m, k % m, _json_difference(d), _JSON_BOOL[ok])
-            for k, (d, ok) in enumerate(air_block)
+            _JSON_AIR_ENTRY % (k // m, k % m, _json_array(text), _JSON_BOOL[ok])
+            for k, (text, ok) in enumerate(blk)
         ]
-        air.append(
-            pair + '      "check": "air-monotone",\n      "entries": '
-            + _json_list(entries, " " * 6)
-            + ',\n      "pass": %s\n    }' % _JSON_BOOL[all(ok for _, ok in air_block)]
+        fh.write(
+            sep + _JSON_PAIR % (lo, up) + '      "check": "air-monotone",\n      "entries": '
+            + _json_list(entries, " " * 6) + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blk)]
         )
-    parts += ("\n  ]" if sep != "\n" else "]", ',\n  "air": ', _json_list(air, "  "), "\n}\n")
-    return "".join(parts)
+        sep = ",\n"
+    fh.write(("\n  ]" if result.codes else "") + "\n}\n")
 
 
-def sweep_report_text(cfg: SweepConfig, result: SweepResult) -> str:
-    """The json or csv report of a sweep run with collect_reports set."""
-    if cfg.fmt == "json":
-        return _json_report_text(cfg, result)
+def _write_csv(fh, cfg, result, monotone_blocks, air_block) -> None:
     heads = [
         _csv_cells(basis, ",".join(map(str, lam.parts)), mode)
         for basis, lam, mode, _ in result.checks
     ]
-    out = [_csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
-                      "difference", "pass") + "\r\n"]
-    for lo, up, blocks, _ in result.pairs:
+    fh.write(_csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
+                        "difference", "pass") + "\r\n")
+    for lo, up in result.codes:
         # row = prefix (check, pair, basis, lambda, mode, empty i) + tail (r on)
         tails = [
-            [f"{r},{d.csv_cell()},{'pass' if ok else 'FAIL'}\r\n" for r, (d, ok) in enumerate(blk)]
-            for blk in blocks
+            [f"{r},{text},{_CSV_PASS[ok]}\r\n" for r, (text, ok) in enumerate(blk)]
+            for blk in monotone_blocks(lo, up)
         ]
         pair = _csv_cells(lo, up)
+        parts = []
         for head, (_, _, _, k) in zip(heads, result.checks):
             prefix = f"monotone,{pair},{head},,"
-            out.append(prefix + prefix.join(tails[k]))
-    for lo, up, _, air_block in result.pairs:
+            parts.append(prefix + prefix.join(tails[k]))
+        fh.write("".join(parts))
+    m = cfg.n + 1
+    for lo, up in result.codes:
         prefix = f"air,{_csv_cells(lo, up)},,,,"
-        out.extend(
-            f"{prefix}{k // (cfg.n + 1)},{k % (cfg.n + 1)},{d.csv_cell()},{'pass' if ok else 'FAIL'}\r\n"
-            for k, (d, ok) in enumerate(air_block)
-        )
-    return "".join(out)
+        fh.write("".join(
+            f"{prefix}{k // m},{k % m},{text},{_CSV_PASS[ok]}\r\n"
+            for k, (text, ok) in enumerate(air_block(lo, up))
+        ))

@@ -264,46 +264,6 @@ def pairs_to_json_obj(n: int, pairs) -> dict:
     }
 
 
-def dumped_sweep_report_text(cfg, result) -> str:
-    """The json verify report of a treegmf.sweep.SweepResult built as one
-    object, each check with its own copy of its perR list, and written by
-    json.dumps(obj, indent=2)."""
-    import json
-
-    monotone, air = [], []
-    for lo, up, blocks, air_block in result.pairs:
-        pair = {"lower": lo, "upper": up}
-        for basis, lam, mode, k in result.checks:
-            monotone.append({
-                "pair": pair, "basis": basis, "lambda": list(lam.parts), "mode": mode,
-                "perR": [{"r": r, "difference": d.to_json_obj(), "pass": ok}
-                         for r, (d, ok) in enumerate(blocks[k])],
-                "pass": all(ok for _, ok in blocks[k]),
-            })
-        air.append({
-            "pair": pair,
-            "check": "air-monotone",
-            "entries": [
-                {"i": k // (cfg.n + 1), "r": k % (cfg.n + 1),
-                 "difference": d.to_json_obj(), "pass": ok}
-                for k, (d, ok) in enumerate(air_block)
-            ],
-            "pass": all(ok for _, ok in air_block),
-        })
-    obj = {
-        "config": {
-            "n": cfg.n,
-            "bases": list(cfg.bases),
-            "lambda": cfg.lambda_filter or "*",
-            "mode": cfg.mode,
-        },
-        "summary": {k: v for k, v in result.summary.items() if k not in ("failures", "jobs")},
-        "monotone": monotone,
-        "air": air,
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
 class FractionQPolynomial:
     """Reference q-polynomial: a tuple of Fraction coefficients, lowest degree
     first, trailing zeros stripped, every operation done coefficient by

@@ -414,6 +414,40 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sub" / "report.json").exists()
 
 
+def test_failed_report_write_keeps_the_earlier_file_and_leaves_no_temporary(
+        tmp_path, capsys, monkeypatch):
+    from treegmf.sweep import SlotPacking
+
+    out = tmp_path / "r.csv"
+    out.write_text("earlier report\n")
+    rows = SlotPacking.rows
+    calls = []
+
+    def failing_rows(self, packed, m):
+        calls.append(packed)
+        if len(calls) == 200:
+            # some pairs are already written to the temporary file
+            (tmp,) = [p for p in tmp_path.iterdir() if p != out]
+            assert tmp.stat().st_size > 0
+            raise RuntimeError("injected")
+        return rows(self, packed, m)
+
+    monkeypatch.setattr(SlotPacking, "rows", failing_rows)
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["verify", "--n", "7", "--format", "csv", "--out", str(out)])
+    assert out.read_text() == "earlier report\n"
+    assert list(tmp_path.iterdir()) == [out]
+    monkeypatch.undo()
+    # a failing run still replaces the file with its whole report
+    assert run_cli("verify", "--n", "4", "--bases", "f", "--mode", "signed",
+                   "--format", "csv", "--out", str(out)) == 1
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("check,") and lines[-1].startswith("air,")
+    assert any(line.endswith(",FAIL") for line in lines)
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_report_longer_than_one_write_slice_is_written_whole(tmp_path, capsys):
     text = "".join(f"line {i}\n" for i in range(30_000))  # about 300 KB
     _write_or_print(text, str(tmp_path / "big.txt"))

@@ -1,3 +1,8 @@
+import hashlib
+import io
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +17,9 @@ from treegmf import (
 from treegmf.cli import main
 from treegmf.gts import GtsPair
 from treegmf.symfunc import alphas
-from treegmf.sweep import SlotPacking, SweepConfig, sweep_pairs, sweep_report_text
+from treegmf.sweep import SlotPacking, SweepConfig, sweep_pairs, write_report
 
-from oracles import dumped_sweep_report_text, tabled_report_text, tabled_sweep
+from oracles import tabled_report_text, tabled_sweep
 
 
 def reversed_pairs(n):
@@ -30,28 +35,28 @@ def without_witness(line):
     return line[:line.rindex(" x=")]
 
 
-def assert_matches_oracle(cfg, pairs, collect_reports=True):
+def report_text(cfg, result):
+    buf = io.StringIO()
+    write_report(buf, cfg, result)
+    return buf.getvalue()
+
+
+def assert_matches_oracle(cfg, pairs, reports=True):
+    """The engine's summary and failure lines, and (when reports is set) its
+    streamed json and csv reports, every difference and pass flag in them,
+    equal those of the per-check oracle."""
     trees = enumerate_free_trees(cfg.n)
-    result = sweep_pairs(cfg, trees, pairs, collect_reports=collect_reports)
-    summary, monotone, air, ok = tabled_sweep(cfg, trees, pairs, collect_reports)
+    result = sweep_pairs(cfg, trees, pairs)
+    summary, monotone, air, ok = tabled_sweep(cfg, trees, pairs, collect_reports=reports)
     assert result.ok == ok
     assert {k: v for k, v in result.summary.items() if k != "failures"} == {
         k: v for k, v in summary.items() if k != "failures"
     }
     assert [without_witness(f) for f in result.summary["failures"]] == summary["failures"]
-    if not collect_reports:
-        return result
-    assert len(result.pairs) == len(pairs)
-    reports = iter(monotone)
-    for (lo, up, blocks, air_block), air_report in zip(result.pairs, air):
-        for basis, lam, mode, k in result.checks:
-            report = next(reports)
-            assert (lo, up, basis, lam, mode) == (
-                report.lower_code, report.upper_code, report.basis, report.lam, report.mode)
-            assert blocks[k] == tuple((e.difference, e.ok) for e in report.per_r)
-            assert all(ok for _, ok in blocks[k]) == report.ok
-        assert air_block == tuple((e.difference, e.ok) for e in air_report.entries)
-    assert next(reports, None) is None
+    if reports:
+        for fmt in ("json", "csv"):
+            fmt_cfg = replace(cfg, fmt=fmt)
+            assert report_text(fmt_cfg, result) == tabled_report_text(fmt_cfg, summary, monotone, air)
     return result
 
 
@@ -59,7 +64,7 @@ def assert_matches_oracle(cfg, pairs, collect_reports=True):
 def test_engine_agrees_with_the_per_check_oracle_on_every_pair(mode):
     for n in range(2, 10):
         cfg = SweepConfig(n=n, mode=mode)
-        assert_matches_oracle(cfg, proper_gts_pairs(n), collect_reports=n <= 8)
+        assert_matches_oracle(cfg, proper_gts_pairs(n), reports=n <= 8)
 
 
 @pytest.mark.parametrize("mode", ["signed", "absolute"])
@@ -111,8 +116,8 @@ def test_report_text_equals_the_oracle_writer(fmt):
     for cfg in cases:
         trees, pairs = enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n)
         summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
-        result = sweep_pairs(cfg, trees, pairs, collect_reports=True)
-        assert sweep_report_text(cfg, result) == tabled_report_text(cfg, summary, monotone, air)
+        result = sweep_pairs(cfg, trees, pairs)
+        assert report_text(cfg, result) == tabled_report_text(cfg, summary, monotone, air)
 
 
 def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
@@ -123,9 +128,28 @@ def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
             assert alphas(gamma_j) == tuple(2**i if k == i else 0 for k in range(n // 2 + 1))
 
 
+def unpack_by_slices(slots, packed):
+    """Every slot value, read by slicing the biased bytes slot by slot."""
+    w, half = slots.width, slots.half
+    data = (packed + slots.bias).to_bytes(w * slots.count, "little")
+    return [int.from_bytes(data[k:k + w], "little") - half for k in range(0, len(data), w)]
+
+
+def cut(row):
+    """row up to its last nonzero value."""
+    while row and not row[-1]:
+        row = row[:-1]
+    return row
+
+
+# 1, 2, 4 and 8 bytes are decoded by one memoryview cast, wider slots slot
+# by slot
+SLOT_WIDTHS = [1, 2, 4, 8, 9, 16]
+
+
 @st.composite
 def slot_values(draw):
-    width = draw(st.integers(1, 3))
+    width = draw(st.sampled_from(SLOT_WIDTHS))
     half = 1 << (8 * width - 1)
     edge = st.sampled_from([0, -1, 1, half - 1, -(half - 1), -half])
     values = draw(st.lists(st.one_of(edge, st.integers(-half, half - 1)), min_size=1, max_size=24))
@@ -140,19 +164,74 @@ def test_packed_slot_mask_at_slot_boundaries(case):
     assert slots.width == width
     packed = slots.pack(values)
     assert packed == sum(v << (8 * width * k) for k, v in enumerate(values))
-    assert slots.unpack(packed) == values
+    assert unpack_by_slices(slots, packed) == values
+    assert slots.rows(packed, len(values)) == [cut(values)]
+    assert slots.rows(packed, 1) == [cut([v]) for v in values]
     assert slots.nonnegative(packed) == all(v >= 0 for v in values)
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width):
+    half = 1 << (8 * width - 1)
+    values = [0, 1, -1, half - 1, -(half - 1), -half, 0, 5, 0, 0, 0, 0]
+    slots = SlotPacking(len(values), half - 1)
+    assert slots.width == width
+    packed = slots.pack(values)
+    assert unpack_by_slices(slots, packed) == values
+    for m in (1, 2, 3, 4, 6, 12):
+        expected = [cut(values[k:k + m]) for k in range(0, len(values), m)]
+        assert slots.rows(packed, m) == expected
+
+
+@pytest.mark.parametrize("need, width", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (7, 8), (9, 9)])
+def test_slot_width_is_rounded_up_to_a_cast_size(need, width):
+    # a bound of 8*need - 1 bits needs `need` bytes with the sign bit
+    assert SlotPacking(3, (1 << (8 * need - 1)) - 1).width == width
 
 
 @pytest.mark.parametrize("mode", ["signed", "absolute"])
 def test_json_report_equals_the_json_dumps_writer(mode):
-    cases = [(SweepConfig(n=n, mode=mode), proper_gts_pairs(n)) for n in range(2, 9)]
-    cases += [
+    # plain n <= 8 runs, both modes and both formats, are compared by
+    # test_engine_agrees_with_the_per_check_oracle_on_every_pair
+    cases = [
         (SweepConfig(n=5, bases=("f", "s"), mode="signed"), proper_gts_pairs(5)),  # FAIL rows
         (SweepConfig(n=6, mode=mode), reversed_pairs(6)),  # FAIL rows, air ones too
         (SweepConfig(n=7, mode=mode, bases=("m",), lambda_filter="2^k,1^*"), proper_gts_pairs(7)),
         (SweepConfig(n=4, mode=mode, lambda_filter="3^2"), proper_gts_pairs(4)),  # no shapes
     ]
     for cfg, pairs in cases:
-        result = sweep_pairs(cfg, enumerate_free_trees(cfg.n), pairs, collect_reports=True)
-        assert sweep_report_text(cfg, result) == dumped_sweep_report_text(cfg, result)
+        trees = enumerate_free_trees(cfg.n)
+        summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
+        result = sweep_pairs(cfg, trees, pairs)
+        assert report_text(cfg, result) == tabled_report_text(cfg, summary, monotone, air)
+
+
+class DigestSink:
+    """A text stream that keeps only the sha256 and the size of its utf-8 bytes."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.size = 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha.update(data)
+        self.size += len(data)
+
+
+def test_json_report_is_written_in_a_quarter_of_its_size():
+    cfg = SweepConfig(n=7)
+    trees, pairs = enumerate_free_trees(7), proper_gts_pairs(7)
+    result = sweep_pairs(cfg, trees, pairs)
+    sink = DigestSink()
+    tracemalloc.start()
+    try:
+        write_report(sink, cfg, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
+    expected = tabled_report_text(cfg, summary, monotone, air).encode()
+    assert sink.size == len(expected) > 5_000_000
+    assert sink.sha.hexdigest() == hashlib.sha256(expected).hexdigest()
+    assert peak < sink.size / 4, (peak, sink.size)
