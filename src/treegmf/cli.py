@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -104,18 +105,27 @@ class _Options:
 @contextmanager
 def _report_file(out: str):
     """A text stream for the --out path (relative paths resolve under
-    $TREEGMF_OUT_DIR when it is set): a temporary file moved over the path
-    only after the last byte, so a failed write leaves the path as it was."""
+    $TREEGMF_OUT_DIR when it is set).  A new path, or a regular file of ours
+    with one link in a writable directory, is written to a temporary file
+    that replaces it (mode kept) only after the last byte, so a failed write
+    leaves it whole; a symlink, device, FIFO or other file is written in place."""
     base = os.environ.get(OUT_DIR_ENV)
     path = os.path.join(base, out) if base and not os.path.isabs(out) else out
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    folder = os.path.dirname(path) or "."
+    os.makedirs(folder, exist_ok=True)
+    st = os.lstat(path) if os.path.lexists(path) else None
+    atomic = not st or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                        and st.st_uid == os.geteuid() and os.access(folder, os.W_OK))
+    tmp = f"{path}.{os.getpid()}.tmp" if atomic else path
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if atomic and st:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             yield fh
-        os.replace(tmp, path)
+        if atomic:
+            os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
+        if atomic and os.path.exists(tmp):
             os.remove(tmp)
 
 
@@ -191,9 +201,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if n is None or n < 2:
         print("error: --n must be >= 2", file=sys.stderr)
         return 2
-    fmt = opts.get("format", "json")
-    if opts.get("dot", conv=bool):
-        fmt = "dot"
+    fmt = "dot" if opts.get("dot", conv=bool) else opts.get("format", "json")
     pairs = proper_gts_pairs(n)
     if fmt == "dot":
         text = poset_to_dot(n, pairs)
@@ -243,15 +251,9 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
             writer.writerow([lam.to_exp_string()] + [_frac_str(v) for v in vals])
         text = buf.getvalue()
     elif fmt == "json":
-        obj = {
-            "n": n,
-            "basis": basis,
-            "rows": [
-                {"lambda": list(lam.parts), "values": [rational_to_json(v) for v in vals]}
-                for lam, vals in rows
-            ],
-        }
-        text = _json_dump(obj)
+        text = _json_dump({"n": n, "basis": basis, "rows": [
+            {"lambda": list(lam.parts), "values": [rational_to_json(v) for v in vals]}
+            for lam, vals in rows]})
     else:
         print(f"error: format must be text, csv or json, got {fmt}", file=sys.stderr)
         return 2

@@ -27,7 +27,8 @@ a combination of at most n/2+1 difference rows.
   (`SlotPacking`).  Packing is linear, so a pair's packed Delta_i is one
   subtraction of the two trees' packed rows.  One slot width serves the
   whole sweep, sized from its largest |a| (|Delta| is at most twice that)
-  times its largest sum_i |A_i|, plus the sign bit.
+  times its largest sum_i |A_i|, plus the sign bit; when cfg.out asks for
+  a report, it is rounded up to 1, 2, 4 or 8 bytes for the writer's decode.
 * Per pair and distinct (gamma vector, mode): s = sum_i A_i Delta_i, or the
   difference of the two packed |c_r| rows in absolute mode, and one cone
   test on every slot at once: adding the bias that sets only each slot's top
@@ -37,12 +38,12 @@ a combination of at most n/2+1 difference rows.
   because another implies it.
 * A report (`write_report`) walks the pairs a second time after the
   checks, recomputes each pair's sums from the packed rows and decodes each
-  (pair, vector) block once, by one C-level cast of its slots, straight to
-  the text of its cells; every (basis, lam) that shares the vector reuses
-  it.  Each pair's text is written before the next pair's is made, so
-  memory holds one pair, and no q-polynomial is built.  The json report is
-  written directly in json.dumps's indent-2 layout, not through the
-  encoder.
+  (pair, vector) block once, by one C-level cast of its slots (slot by
+  slot at other widths), straight to the text of its cells; every (basis,
+  lam) that shares the vector reuses it.  Each pair's text is written
+  before the next pair's is made, so memory holds one pair, and no
+  q-polynomial is built.  The json report is written directly in
+  json.dumps's indent-2 layout, not through the encoder.
 """
 
 from __future__ import annotations
@@ -144,14 +145,18 @@ _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 class SlotPacking:
     """`count` signed integers packed into one int, slot k holding value v_k
-    as v_k * 2^(k W).  W is a whole number of bytes, wide enough that every
-    |v| <= bound fits with its sign: 2^(W-1) > bound.  Up to 8 bytes, W is
-    rounded up to 1, 2, 4 or 8, so that one C-level cast decodes every slot."""
+    as v_k * 2^(k W).  W is the fewest whole bytes that fit every
+    |v| <= bound with its sign: 2^(W-1) > bound.  With castable, W up to 8
+    is rounded up to 1, 2, 4 or 8, so that `rows` decodes every slot with
+    one C-level cast; wider packed ints make every sum and cone test cost
+    more, so only a sweep that writes a report asks for it."""
 
-    def __init__(self, count: int, bound: int) -> None:
+    def __init__(self, count: int, bound: int, castable: bool = False) -> None:
         self.count = count
         need = bound.bit_length() // 8 + 1
-        self.width = next((w for w in (1, 2, 4, 8) if w >= need), need)  # bytes per slot
+        if castable:
+            need = next((w for w in (1, 2, 4, 8) if w >= need), need)
+        self.width = need  # bytes per slot
         self.half = 1 << (8 * self.width - 1)
         # only the top bit of every slot set
         self.bias = int.from_bytes((bytes(self.width - 1) + b"\x80") * count, "little")
@@ -284,7 +289,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
 
     # |Delta| <= 2 max|a|, and |c_r| <= weight * max|a|
     amax = max(abs(v) for rows, _ in results for row in rows for v in row)
-    slots = SlotPacking(m * m, 2 * amax * weight)
+    slots = SlotPacking(m * m, 2 * amax * weight, castable=cfg.out is not None)
     packed = {
         t.code: ([slots.pack(row) for row in rows], [slots.pack(row) for row in abs_rows])
         for t, (rows, abs_rows) in zip(trees, results)

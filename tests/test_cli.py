@@ -448,6 +448,51 @@ def test_failed_report_write_keeps_the_earlier_file_and_leaves_no_temporary(
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_out_paths_that_are_not_our_own_regular_files_are_written_in_place(tmp_path, capsys):
+    import stat
+    import threading
+
+    # a symlink keeps its link, and the report reaches its target
+    target = tmp_path / "target.txt"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run_cli("trees", "--n", "5", "--out", str(link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("3 tree(s) on 5 vertices\n")
+
+    # a FIFO stays a FIFO, and its reader gets the whole report
+    fifo = tmp_path / "r.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = run_cli("verify", "--n", "5", "--format", "csv", "--out", str(fifo))
+    finally:
+        reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got[0].startswith(b"check,") and got[0].endswith(b",pass\r\n")
+
+    # a file with a second link is rewritten in place, so both names see it
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("earlier\n")
+    os.link(first, second)
+    assert run_cli("trees", "--n", "4", "--out", str(first)) == 0
+    assert second.read_text() == first.read_text() != "earlier\n"
+
+    # a replaced regular file keeps its mode
+    plain = tmp_path / "plain.txt"
+    plain.write_text("earlier\n")
+    plain.chmod(0o640)
+    assert run_cli("trees", "--n", "4", "--out", str(plain)) == 0
+    assert stat.S_IMODE(plain.stat().st_mode) == 0o640
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "first.txt", "link.txt", "plain.txt", "r.fifo", "second.txt", "target.txt"]
+
+
 def test_report_longer_than_one_write_slice_is_written_whole(tmp_path, capsys):
     text = "".join(f"line {i}\n" for i in range(30_000))  # about 300 KB
     _write_or_print(text, str(tmp_path / "big.txt"))

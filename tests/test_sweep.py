@@ -116,8 +116,18 @@ def test_report_text_equals_the_oracle_writer(fmt):
     for cfg in cases:
         trees, pairs = enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n)
         summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
-        result = sweep_pairs(cfg, trees, pairs)
-        assert report_text(cfg, result) == tabled_report_text(cfg, summary, monotone, air)
+        expected = tabled_report_text(cfg, summary, monotone, air)
+        # with cfg.out set the slots are rounded to a cast width
+        for out in (None, "report"):
+            out_cfg = replace(cfg, out=out)
+            assert report_text(out_cfg, sweep_pairs(out_cfg, trees, pairs)) == expected
+
+
+def test_only_a_sweep_with_a_report_rounds_its_slot_width():
+    # n=7 over every basis needs 3-byte slots
+    trees, pairs = enumerate_free_trees(7), proper_gts_pairs(7)
+    assert sweep_pairs(SweepConfig(n=7), trees, pairs).slots.width == 3
+    assert sweep_pairs(SweepConfig(n=7, out="r.csv"), trees, pairs).slots.width == 4
 
 
 def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
@@ -142,25 +152,27 @@ def cut(row):
     return row
 
 
-# 1, 2, 4 and 8 bytes are decoded by one memoryview cast, wider slots slot
-# by slot
-SLOT_WIDTHS = [1, 2, 4, 8, 9, 16]
+# every slot width a sweep can choose: 1, 2, 4 and 8 bytes are decoded by
+# one memoryview cast, the others slot by slot
+SLOT_WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16]
+CAST_WIDTHS = (1, 2, 4, 8)
 
 
 @st.composite
 def slot_values(draw):
     width = draw(st.sampled_from(SLOT_WIDTHS))
+    castable = width in CAST_WIDTHS and draw(st.booleans())
     half = 1 << (8 * width - 1)
     edge = st.sampled_from([0, -1, 1, half - 1, -(half - 1), -half])
     values = draw(st.lists(st.one_of(edge, st.integers(-half, half - 1)), min_size=1, max_size=24))
-    return width, values
+    return width, castable, values
 
 
 @settings(max_examples=300, deadline=None)
 @given(slot_values())
 def test_packed_slot_mask_at_slot_boundaries(case):
-    width, values = case
-    slots = SlotPacking(len(values), (1 << (8 * width - 1)) - 1)
+    width, castable, values = case
+    slots = SlotPacking(len(values), (1 << (8 * width - 1)) - 1, castable)
     assert slots.width == width
     packed = slots.pack(values)
     assert packed == sum(v << (8 * width * k) for k, v in enumerate(values))
@@ -170,11 +182,12 @@ def test_packed_slot_mask_at_slot_boundaries(case):
     assert slots.nonnegative(packed) == all(v >= 0 for v in values)
 
 
-@pytest.mark.parametrize("width", SLOT_WIDTHS)
-def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width):
+@pytest.mark.parametrize("width, castable", [(w, False) for w in SLOT_WIDTHS]
+                         + [(w, True) for w in CAST_WIDTHS])
+def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width, castable):
     half = 1 << (8 * width - 1)
     values = [0, 1, -1, half - 1, -(half - 1), -half, 0, 5, 0, 0, 0, 0]
-    slots = SlotPacking(len(values), half - 1)
+    slots = SlotPacking(len(values), half - 1, castable)
     assert slots.width == width
     packed = slots.pack(values)
     assert unpack_by_slices(slots, packed) == values
@@ -184,9 +197,11 @@ def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width):
 
 
 @pytest.mark.parametrize("need, width", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (7, 8), (9, 9)])
-def test_slot_width_is_rounded_up_to_a_cast_size(need, width):
+def test_castable_slot_width_is_rounded_up_to_a_cast_size(need, width):
     # a bound of 8*need - 1 bits needs `need` bytes with the sign bit
-    assert SlotPacking(3, (1 << (8 * need - 1)) - 1).width == width
+    bound = (1 << (8 * need - 1)) - 1
+    assert SlotPacking(3, bound, castable=True).width == width
+    assert SlotPacking(3, bound).width == need
 
 
 @pytest.mark.parametrize("mode", ["signed", "absolute"])
@@ -220,7 +235,7 @@ class DigestSink:
 
 
 def test_json_report_is_written_in_a_quarter_of_its_size():
-    cfg = SweepConfig(n=7)
+    cfg = SweepConfig(n=7, out="r.json")
     trees, pairs = enumerate_free_trees(7), proper_gts_pairs(7)
     result = sweep_pairs(cfg, trees, pairs)
     sink = DigestSink()
