@@ -11,12 +11,10 @@ from .partitions import Partition, enumerate_partitions, mn_character, z_order
 from .qpoly import Q, Q2, QP_ONE, QP_ZERO, QPolynomial, XQPolynomial
 from .symfunc import (
     BASES,
-    BrickTabloid,
     ClassFunctionValue,
     PowerExpansion,
     alpha,
     alpha_table,
-    brick_tabloids,
     f_inverse_value,
     inverse_frobenius,
     involution_class_values,
@@ -55,7 +53,6 @@ from .gmf import (
 __all__ = [
     "BASES",
     "AirTable",
-    "BrickTabloid",
     "CanonicalTree",
     "ClassFunctionValue",
     "GmfPolynomial",
@@ -75,7 +72,6 @@ __all__ = [
     "alpha",
     "alpha_table",
     "ascii_sketch",
-    "brick_tabloids",
     "centroids",
     "enumerate_free_trees",
     "enumerate_partitions",

@@ -59,6 +59,10 @@ class ConfigError(ValueError):
     """A missing or malformed config file, or a config value of the wrong type."""
 
 
+class OutPathError(ValueError):
+    """An --out path that cannot be opened for writing."""
+
+
 def load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
@@ -108,17 +112,23 @@ def _report_file(out: str):
     $TREEGMF_OUT_DIR when it is set).  A new path, or a regular file of ours
     with one link in a writable directory, is written to a temporary file
     that replaces it (mode kept) only after the last byte, so a failed write
-    leaves it whole; a symlink, device, FIFO or other file is written in place."""
+    leaves it whole; a symlink, device, FIFO or other file is written in place.
+    A path that cannot be opened (a directory, a parent that cannot be made)
+    raises OutPathError before anything is yielded."""
     base = os.environ.get(OUT_DIR_ENV)
     path = os.path.join(base, out) if base and not os.path.isabs(out) else out
     folder = os.path.dirname(path) or "."
-    os.makedirs(folder, exist_ok=True)
-    st = os.lstat(path) if os.path.lexists(path) else None
-    atomic = not st or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                        and st.st_uid == os.geteuid() and os.access(folder, os.W_OK))
-    tmp = f"{path}.{os.getpid()}.tmp" if atomic else path
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        os.makedirs(folder, exist_ok=True)
+        st = os.lstat(path) if os.path.lexists(path) else None
+        atomic = not st or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                            and st.st_uid == os.geteuid() and os.access(folder, os.W_OK))
+        tmp = f"{path}.{os.getpid()}.tmp" if atomic else path
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OutPathError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+    try:
+        with fh:
             if atomic and st:
                 os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             yield fh
@@ -419,9 +429,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_sweep(cfg)
-    if cfg.out is not None:
-        with _report_file(cfg.out) as fh:
+    # the report file is opened first, so an --out that cannot be written
+    # fails before the sweep starts
+    with nullcontext() if cfg.out is None else _report_file(cfg.out) as fh:
+        result = run_sweep(cfg)
+        if fh is not None:
             write_report(fh, cfg, result)
     summary, ok = result.summary, result.ok
     print(
@@ -510,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OutPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

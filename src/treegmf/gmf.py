@@ -49,7 +49,7 @@ from typing import Literal, Sequence
 
 from .gts import GtsPair
 from .partitions import Partition
-from .qpoly import QP_ONE, QP_ZERO, QPolynomial, XQPolynomial
+from .qpoly import QP_ONE, QP_ZERO, QPolynomial, SlotPacking, XQPolynomial
 from .symfunc import (
     ClassFunctionValue,
     PowerExpansion,
@@ -120,11 +120,12 @@ def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ..
     v unmatched or matched to a child.  Folding the children in one at a
     time costs O(deg v) products per vertex.
 
-    The polynomials are Kronecker-packed into Python ints (t, x and u are
-    powers of 2^W, slot width W bits), so each product is one big-int
-    multiplication.  The slots are signed and wide enough for the largest
-    coefficient the profile can have, which the same DP bounds when run on
-    absolute values at t = x = u = 1.
+    The polynomials are Kronecker-packed into Python ints in the signed-slot
+    format of `qpoly.SlotPacking` (t, x and u are powers of 2^W, slot width
+    W bits), so each product is one big-int multiplication, and the root's
+    packed total is decoded by `SlotPacking.rows`.  The slots are wide
+    enough for the largest coefficient the profile can have, which the
+    same DP bounds when run on absolute values at t = x = u = 1.
     """
     n = tree.n
     adj = tree.adj
@@ -143,38 +144,19 @@ def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ..
                 prod[p] = prod.get(p, 1) * total
         return total
 
-    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda m: m)
-    width = bound.bit_length() // 8 + 1  # bytes per slot, sign included
-    bits = 8 * width
-    u_shift = bits
-    x_shift = u_shift * (n + 1)
-    tu_shift = x_shift * (n + 1) + u_shift
+    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda h: h)
+    m = n + 1
+    slots = SlotPacking((n // 2 + 1) * m * m, bound)
+    u_shift = 8 * slots.width
+    x_shift = u_shift * m
+    tu_shift = x_shift * m + u_shift
     packed = fold(
         lambda v, g: (g << x_shift) - g - (len(adj[v]) - 1) * (g << u_shift),
-        lambda m: m << tu_shift,
+        lambda h: h << tu_shift,
     )
-
-    # Adding half the slot range to every slot makes each slot non-negative,
-    # so the slots are the little-endian bytes of one int.
-    slots = (n // 2 + 1) * (n + 1) * (n + 1)
-    half = 1 << (bits - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    data = (packed + bias).to_bytes(width * slots, "little")
-    values = [
-        int.from_bytes(data[i:i + width], "little") - half
-        for i in range(0, width * slots, width)
-    ]
-    profile = []
-    for j in range(n // 2 + 1):
-        row = []
-        for k in range(n + 1):
-            start = (j * (n + 1) + k) * (n + 1)
-            coeffs = values[start:start + n + 1]
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            row.append(tuple(coeffs))
-        profile.append(tuple(row))
-    return tuple(profile)
+    # one row of m slots per (t, x): its coefficients of u^0..u^n
+    rows = slots.rows(packed, m)
+    return tuple(tuple(map(tuple, rows[j * m:(j + 1) * m])) for j in range(n // 2 + 1))
 
 
 def coefficients_from_profile(
@@ -278,17 +260,15 @@ def gmf_poly_bruteforce(
     basis: str | None = None,
     lam: Partition | None = None,
     max_brute: int = 9,
-    force: bool = False,
 ) -> GmfPolynomial:
     """Permutation-sum evaluation of d_gamma(xI - q-Laplacian).
 
-    Guarded at n <= max_brute (default 9) unless force is set: the cost is
-    factorial in n."""
+    Guarded at n <= max_brute (default 9): the cost is factorial in n."""
     if gamma.n != tree.n:
         raise ValueError(f"degree mismatch: gamma has n={gamma.n}, tree has n={tree.n}")
-    if tree.n > max_brute and not force:
+    if tree.n > max_brute:
         raise ValueError(
-            f"brute force at n={tree.n} exceeds the guard ({max_brute}); pass force=True"
+            f"brute force at n={tree.n} exceeds the guard ({max_brute}); raise max_brute"
         )
     cls_values: ClassFunctionValue = inverse_frobenius(gamma)
     raw = [QP_ZERO] * (tree.n + 1)

@@ -24,11 +24,13 @@ a combination of at most n/2+1 difference rows.
   rows |c_r| as integers (its alphas cleared to integers A over a
   denominator D).
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
-  (`SlotPacking`).  Packing is linear, so a pair's packed Delta_i is one
-  subtraction of the two trees' packed rows.  One slot width serves the
-  whole sweep, sized from its largest |a| (|Delta| is at most twice that)
-  times its largest sum_i |A_i|, plus the sign bit; when cfg.out asks for
-  a report, it is rounded up to 1, 2, 4 or 8 bytes for the writer's decode.
+  in `qpoly.SlotPacking`, the one slot format of the package (the
+  matching-profile DP packs and decodes through it too).  Packing is
+  linear, so a pair's packed Delta_i is one subtraction of the two trees'
+  packed rows.  One slot width serves the whole sweep, sized from its
+  largest |a| (|Delta| is at most twice that) times its largest
+  sum_i |A_i|, plus the sign bit; when cfg.out asks for a report, it is
+  rounded up to 1, 2, 4 or 8 bytes for the writer's decode.
 * Per pair and distinct (gamma vector, mode): s = sum_i A_i Delta_i, or the
   difference of the two packed |c_r| rows in absolute mode, and one cone
   test on every slot at once: adding the bias that sets only each slot's top
@@ -52,13 +54,13 @@ import csv
 import io
 import json
 import os
-import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import gmf
 from .gts import GtsPair, proper_gts_pairs
 from .partitions import Partition, enumerate_partitions
+from .qpoly import SlotPacking
 from .symfunc import BASES, alphas, involution_class_values, power_expansion
 from .trees import CanonicalTree, enumerate_free_trees
 
@@ -136,60 +138,6 @@ def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
     """Worker processes for a sweep: the requested jobs, but no more than the
     processors (cpus, from os.cpu_count(), may be None) or the tasks."""
     return max(1, min(jobs, cpus or 1, tasks))
-
-
-# memoryview.cast codes that read a slot of 1, 2, 4 or 8 bytes as one
-# signed int; slots are written little-endian
-_CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-
-
-class SlotPacking:
-    """`count` signed integers packed into one int, slot k holding value v_k
-    as v_k * 2^(k W).  W is the fewest whole bytes that fit every
-    |v| <= bound with its sign: 2^(W-1) > bound.  With castable, W up to 8
-    is rounded up to 1, 2, 4 or 8, so that `rows` decodes every slot with
-    one C-level cast; wider packed ints make every sum and cone test cost
-    more, so only a sweep that writes a report asks for it."""
-
-    def __init__(self, count: int, bound: int, castable: bool = False) -> None:
-        self.count = count
-        need = bound.bit_length() // 8 + 1
-        if castable:
-            need = next((w for w in (1, 2, 4, 8) if w >= need), need)
-        self.width = need  # bytes per slot
-        self.half = 1 << (8 * self.width - 1)
-        # only the top bit of every slot set
-        self.bias = int.from_bytes((bytes(self.width - 1) + b"\x80") * count, "little")
-        self._cast = _CASTS.get(self.width)
-
-    def pack(self, values: list[int]) -> int:
-        w, half = self.width, self.half
-        data = b"".join((v + half).to_bytes(w, "little") for v in values)
-        return int.from_bytes(data, "little") - self.bias
-
-    def rows(self, packed: int, m: int) -> list[list[int]]:
-        """The slot values in rows of m slots, each cut after its last
-        nonzero value.  Adding the bias shifts each slot into [0, 2^W)
-        without carries; flipping each slot's top bit then leaves v mod 2^W,
-        the slot's two's complement bytes."""
-        w = self.width
-        data = ((packed + self.bias) ^ self.bias).to_bytes(w * self.count, "little")
-        if self._cast:
-            values = memoryview(data).cast(self._cast).tolist()
-        else:
-            values = [int.from_bytes(data[k:k + w], "little", signed=True)
-                      for k in range(0, len(data), w)]
-        # a row's trailing zero slots are its trailing zero bytes
-        return [
-            values[k:k + (len(data[k * w:(k + m) * w].rstrip(b"\0")) + w - 1) // w]
-            for k in range(0, self.count, m)
-        ]
-
-    def nonnegative(self, packed: int) -> bool:
-        """Every slot >= 0.  Adding the bias shifts each slot into
-        [0, 2^W) without carries, and the slot's top bit is then set
-        exactly when its value is >= 0."""
-        return (packed + self.bias) & self.bias == self.bias
 
 
 def tree_rows(payload) -> tuple[list[list[int]], list[list[int]]]:

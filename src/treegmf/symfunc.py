@@ -291,55 +291,6 @@ def involution_class_values(gamma: PowerExpansion) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrickTabloid:
-    """One filling: for each row of the shape, the ordered brick lengths."""
-
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def weight(self) -> int:
-        w = 1
-        for row in self.rows:
-            w *= row[-1]
-        return w
-
-
-def brick_tabloids(lam: Partition, mu: Partition) -> tuple[list[BrickTabloid], int]:
-    """All fillings of the rows of mu by bricks with length multiset lam,
-    together with the total weight.  Empty (weight 0) unless lam refines mu."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: |lam|={lam.n}, |mu|={mu.n}")
-    results: list[BrickTabloid] = []
-    bricks = Counter(lam.parts)
-    rows = mu.parts
-
-    def fill_row(row_idx: int, acc: list[tuple[int, ...]]) -> None:
-        if row_idx == len(rows):
-            results.append(BrickTabloid(shape=mu, rows=tuple(acc)))
-            return
-        target = rows[row_idx]
-
-        def compose(remaining: int, cur: list[int]) -> None:
-            if remaining == 0:
-                acc.append(tuple(cur))
-                fill_row(row_idx + 1, acc)
-                acc.pop()
-                return
-            for v in sorted(v for v, cnt in bricks.items() if cnt > 0 and v <= remaining):
-                bricks[v] -= 1
-                cur.append(v)
-                compose(remaining - v, cur)
-                cur.pop()
-                bricks[v] += 1
-
-        compose(target, [])
-
-    fill_row(0, [])
-    return results, sum(t.weight for t in results)
-
-
 @lru_cache(maxsize=None)
 def _brick_weight_sum(bricks: tuple[tuple[int, int], ...], rows: tuple[int, ...]) -> int:
     """Total weight over fillings of the given rows from the given brick

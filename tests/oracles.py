@@ -12,7 +12,8 @@ found by scanning the level sequence, the proper-shift pairs found by
 testing every ordered vertex pair of every tree, the monotonicity sweep run
 one (pair, basis, shape) check at a time on per-tree q-polynomial tables,
 the a[i][r] rows assembled from the monomial-basis polynomials and divided
-by 2^i, and the poset and verify json reports written by json.dumps.
+by 2^i, the poset and verify json reports written by json.dumps, and integer
+determinants by fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -153,6 +154,28 @@ def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]
             trimmed.append(tuple(coeffs))
         out.append(tuple(trimmed))
     return tuple(out)
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so no Fraction is needed."""
+    a = [list(row) for row in matrix]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        akk, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            aik, row_i = a[i][k], a[i]
+            a[i] = row_i[:k + 1] + [
+                (row_i[j] * akk - aik * row_k[j]) // prev for j in range(k + 1, n)
+            ]
+        prev = akk
+    return sign * a[-1][-1]
 
 
 def assembled_air_rows(tree) -> list[list[int]]:

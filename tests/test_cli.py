@@ -414,6 +414,38 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sub" / "report.json").exists()
 
 
+def _unwritable_out_paths(tmp_path):
+    """A directory, and a path whose parent cannot be made (a regular file
+    stands where its directory would be)."""
+    (tmp_path / "plain").write_text("")
+    return [str(tmp_path), str(tmp_path / "plain" / "sub" / "r.txt")]
+
+
+def test_trees_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    for out in _unwritable_out_paths(tmp_path):
+        assert run_cli("trees", "--n", "4", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out ")
+        assert "Traceback" not in captured.err
+
+
+def test_verify_out_path_that_cannot_be_opened_exits_2_before_the_sweep(
+        tmp_path, capsys, monkeypatch):
+    import treegmf.cli
+
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(treegmf.cli, "run_sweep", no_sweep)
+    for out in _unwritable_out_paths(tmp_path):
+        assert run_cli("verify", "--n", "5", "--format", "csv", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
+
 def test_failed_report_write_keeps_the_earlier_file_and_leaves_no_temporary(
         tmp_path, capsys, monkeypatch):
     from treegmf.sweep import SlotPacking

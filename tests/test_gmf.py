@@ -30,12 +30,13 @@ from treegmf.gmf import (
     matching_profile,
     monotone_report_from_coeffs,
 )
-from treegmf.qpoly import QP_ZERO, QPolynomial, XQPolynomial
+from treegmf.qpoly import QP_ZERO, QPolynomial, SlotPacking, XQPolynomial
 from treegmf.symfunc import PowerExpansion, involution_class_values
 
 from oracles import (
     FractionQPolynomial,
     assembled_air_rows,
+    bareiss_det,
     enumerated_matching_profile,
     prufer_to_edges,
 )
@@ -111,7 +112,7 @@ def test_bruteforce_guard():
     gamma = power_expansion("p", Partition([10]))
     with pytest.raises(ValueError):
         gmf_poly_bruteforce(big, gamma)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="raise max_brute"):
         gmf_poly_bruteforce(big, gamma, max_brute=9)
 
 
@@ -283,6 +284,43 @@ def test_linearity_in_gamma():
             p1 = gmf_poly_matching(tree, g1).poly.signed
             p2 = gmf_poly_matching(tree, g2).poly.signed
             assert lhs.signed == tuple(c1 * a + c2 for c1, c2 in zip(p1, p2))
+
+
+def test_alternating_profile_sum_is_the_characteristic_polynomial(monkeypatch):
+    # With Gamma(j) = (-1)^j, the sign character, d_gamma(xI - L_q) is the
+    # determinant, so sum_j (-1)^j w_j(x, u = q^2) = det(xI - L_q).  The
+    # trees need DP slots of 1 to 9 bytes, so both the cast branch and the
+    # slot-by-slot branch of SlotPacking.rows decode a profile.
+    widths = set()
+    rows = SlotPacking.rows
+
+    def recording_rows(self, packed, m):
+        widths.add(self.width)
+        return rows(self, packed, m)
+
+    monkeypatch.setattr(SlotPacking, "rows", recording_rows)
+    for n in range(2, 41):
+        rng = random.Random(n)
+        prufer = LabeledTree(n, prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))))
+        for tree in (LabeledTree.path(n), LabeledTree.star(n), prufer):
+            # the uncached DP, so that every tree decodes through rows
+            profile = matching_profile.__wrapped__(tree)
+            for x, q in ((0, 1), (3, 2), (-2, 3)):
+                u = q * q
+                xs = [x**k for k in range(n + 1)]
+                us = [u**e for e in range(n + 1)]
+                lhs = sum(
+                    (-1) ** j * xk * sum(c * ue for c, ue in zip(row, us))
+                    for j, w in enumerate(profile)
+                    for xk, row in zip(xs, w)
+                )
+                matrix = [
+                    [x - 1 - u * (tree.degree(v) - 1) if v == w else q * (w in tree.adj[v])
+                     for w in range(n)]
+                    for v in range(n)
+                ]
+                assert lhs == bareiss_det(matrix), (n, tree.edges(), x, q)
+    assert widths & {1, 2, 4, 8} and widths - {1, 2, 4, 8}, widths
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from treegmf import (
     BASES,
     Partition,
     alpha,
-    brick_tabloids,
     enumerate_partitions,
     f_inverse_value,
     inverse_frobenius,
@@ -138,33 +137,6 @@ def test_involution_values_match_dense_route():
 # ---------------------------------------------------------------------------
 # brick tabloids
 # ---------------------------------------------------------------------------
-
-
-def test_brick_tabloids_non_refinement_is_empty():
-    tabs, w = brick_tabloids(P(3, 1), P(2, 2))
-    assert tabs == [] and w == 0
-
-
-def test_brick_tabloids_single_row_examples():
-    tabs, w = brick_tabloids(P(2), P(2))
-    assert len(tabs) == 1 and w == 2
-    tabs, w = brick_tabloids(P(1, 1), P(2))
-    assert len(tabs) == 1 and w == 1
-    tabs, w = brick_tabloids(P(2, 1), P(3))
-    assert sorted(t.rows for t in tabs) == [((1, 2),), ((2, 1),)]
-    assert w == 3
-
-
-def test_brick_tabloid_invariants():
-    for n in range(2, 8):
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                tabs, w = brick_tabloids(lam, mu)
-                assert w == sum(t.weight for t in tabs)
-                for t in tabs:
-                    # rows fill the shape, brick multiset is lam
-                    assert tuple(sum(r) for r in t.rows) == mu.parts
-                    assert sorted(b for r in t.rows for b in r) == sorted(lam.parts)
 
 
 def test_m_inverse_closed_form_on_involution_classes():
