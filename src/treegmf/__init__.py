@@ -15,10 +15,8 @@ from .symfunc import (
     PowerExpansion,
     alpha,
     alpha_table,
-    f_inverse_value,
     inverse_frobenius,
     involution_class_values,
-    m_inverse_value,
     power_expansion,
 )
 from .trees import (
@@ -75,13 +73,11 @@ __all__ = [
     "centroids",
     "enumerate_free_trees",
     "enumerate_partitions",
-    "f_inverse_value",
     "gmf_poly_bruteforce",
     "gmf_poly_matching",
     "gts_shift",
     "inverse_frobenius",
     "involution_class_values",
-    "m_inverse_value",
     "matching_counts",
     "matchings",
     "mn_character",

@@ -8,6 +8,7 @@ lexicographic: (n) first, (1,...,1) last.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -110,41 +111,72 @@ def z_order(mu: Partition) -> int:
     return z
 
 
-def _border_strip_removals(parts: tuple[int, ...], k: int):
-    """Yield (smaller shape, sign) for each border strip of size k removable
-    from the shape, using the first-column hook encoding of the shape."""
+def _beads(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The first-column hook lengths parts[i] + l - 1 - i of a shape with l
+    parts, ascending: its beta-set, one bead per row."""
     l = len(parts)
-    beta = [parts[i] + (l - 1 - i) for i in range(l)]
-    bset = set(beta)
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for b2 in beta if nb < b2 < b)
-        newbeta = sorted((x for x in beta if x != b), reverse=True)
-        newbeta.insert(0, nb)
-        newbeta.sort(reverse=True)
-        newparts = tuple(
-            p for i, x in enumerate(newbeta) if (p := x - (l - 1 - i)) > 0
-        )
-        yield newparts, (-1) ** height
+    return tuple(p + l - 1 - i for i, p in enumerate(parts))[::-1]
+
+
+def _remove_strips(shapes: dict[tuple[int, ...], int], k: int) -> dict[tuple[int, ...], int]:
+    """One Murnaghan-Nakayama step on a signed sum of shapes, each given by
+    its beads: remove a border strip of size k in every way, i.e. move a
+    bead b to an empty b - k, with sign (-1) to the beads passed over."""
+    out: dict[tuple[int, ...], int] = {}
+    for beads, c in shapes.items():
+        taken = set(beads)
+        for i, b in enumerate(beads):
+            if b < k or b - k in taken:
+                continue
+            at = bisect_left(beads, b - k)
+            smaller = beads[:at] + (b - k,) + beads[at:i] + beads[i + 1:]
+            out[smaller] = out.get(smaller, 0) + (-c if (i - at) % 2 else c)
+    return {beads: c for beads, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def _chi(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1
-    k = mu[0]
-    rest = mu[1:]
-    total = 0
-    for newparts, sign in _border_strip_removals(lam, k):
-        total += sign * _chi(newparts, rest)
-    return total
+    shapes = {_beads(lam): 1}
+    for k in mu:
+        if k == 1:  # the rest of mu is 1s: count them by hook lengths
+            break
+        shapes = _remove_strips(shapes, k)
+    return _at_identity(shapes)
+
+
+@lru_cache(maxsize=None)
+def _dimension(beads: tuple[int, ...]) -> int:
+    """The character at the identity, i.e. the number of ways to remove the
+    shape one 1-strip at a time, by the hook-length formula on its beads b_i:
+    |shape|! * prod over i < k of (b_k - b_i) / prod of b_i!."""
+    num = math.factorial(sum(beads) - len(beads) * (len(beads) - 1) // 2)
+    for i, b in enumerate(beads):
+        for c in beads[i + 1:]:
+            num *= c - b
+    return num // math.prod(map(math.factorial, beads))
+
+
+def _at_identity(shapes: dict[tuple[int, ...], int]) -> int:
+    """The signed sum of the shapes' characters at the identity."""
+    return sum(c * _dimension(beads) for beads, c in shapes.items())
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Irreducible symmetric-group character indexed by lam, evaluated at any
-    permutation of cycle type mu.  Computed by iterated border-strip removal."""
+    permutation of cycle type mu.  Computed by border-strip removal, one
+    part of mu at a time over the signed shapes left so far."""
     if lam.n != mu.n:
         raise ValueError(f"degree mismatch: |lam|={lam.n}, |mu|={mu.n}")
     return _chi(lam.parts, mu.parts)
+
+
+def involution_characters(lam: Partition) -> tuple[int, ...]:
+    """The character indexed by lam at the cycle types 2^j,1^(n-2j) for
+    j = 0..floor(n/2): Murnaghan-Nakayama with j 2-strips, then the 1-strip
+    removals of each shape left, counted by the hook-length formula."""
+    shapes = {_beads(lam.parts): 1}
+    values = [_at_identity(shapes)]
+    for _ in range(lam.n // 2):
+        shapes = _remove_strips(shapes, 2)
+        values.append(_at_identity(shapes))
+    return tuple(values)

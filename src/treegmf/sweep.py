@@ -19,6 +19,9 @@ along a pair the signed difference of any check is sum_i alpha_i * Delta_i
 with Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is
 a combination of at most n/2+1 difference rows.
 
+* Each (basis, lam) gets its gamma vector, the integers Gamma(0..n/2), from
+  `symfunc.gamma_values` in closed form, with no power-sum expansion; equal
+  (vector, mode) keys are checked once.
 * Per tree, a worker takes the integer rows a[i][r][e] (coefficient of u^e)
   from `gmf.air_rows`, and for each absolute-mode gamma vector builds the
   rows |c_r| as integers (its alphas cleared to integers A over a
@@ -61,7 +64,7 @@ from . import gmf
 from .gts import GtsPair, proper_gts_pairs
 from .partitions import Partition, enumerate_partitions
 from .qpoly import SlotPacking
-from .symfunc import BASES, alphas, involution_class_values, power_expansion
+from .symfunc import BASES, alphas, gamma_values
 from .trees import CanonicalTree, enumerate_free_trees
 
 
@@ -209,7 +212,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     for basis in cfg.bases:
         mode = cfg.effective_mode(basis)
         for lam in lambdas:
-            key = (involution_class_values(power_expansion(basis, lam)), mode)
+            key = (gamma_values(basis, lam), mode)
             checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
     # per vector: its denominator D, and either the nonzero (i, A_i) of its
     # alphas cleared to integers (signed) or the index of its |c_r| rows

@@ -1,8 +1,15 @@
-"""Symmetric-function expansions, class functions on cycle types, brick
-tabloids, and the involution-class binomial transform.
+"""Symmetric-function expansions, class functions on cycle types, and the
+involution-class binomial transform.
 
-Everything is exact over Q.  A symmetric function of degree n is represented
-by its coordinates in the power-sum basis (PowerExpansion).  Its inverse
+A generalized matrix polynomial of a tree q-Laplacian depends on gamma only
+through Gamma(j), its inverse Frobenius image at the involution classes
+2^j,1^(n-2j), j = 0..n/2: the permutations that survive are matchings.
+`gamma_values` gives these n/2+1 integers in closed form per basis, and the
+sweep and `alpha_table` read them there.
+
+The general route is exact over Q and kept as the oracle and for whole class
+functions: a symmetric function of degree n is represented by its
+coordinates in the power-sum basis (PowerExpansion), and its inverse
 Frobenius image is the class function with value z_mu * coord(mu) at cycle
 type mu (ClassFunctionValue).
 
@@ -14,27 +21,27 @@ Basis tags, in the fixed order used by tables and the CLI:
   p   power sum
   s   Schur (via irreducible characters)
   f   sign-scaled monomial: f_lam = (-1)^(n - len(lam)) * m_lam.  This is the
-      convention under which the brick-tabloid rule below carries the sign
+      convention under which the brick-tabloid rule carries the sign
       (-1)^(n - l(mu)) and the binomial transform is supported on the single
       shape 2^i,1^(n-2i) with value (-2)^i.
-
-Brick tabloids: a filling of the rows of a shape mu by bricks whose multiset
-of lengths is lam, each brick inside a single row; the weight of a filling is
-the product over rows of the length of the row's last brick.  Signed weighted
-counts give the m- and f-class-function values directly, an independent route
-cross-checked against the power-sum route in the test suite.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Mapping, Sequence, Union
 
-from .partitions import Partition, _partition_tuples, enumerate_partitions, mn_character, z_order
+from .partitions import (
+    Partition,
+    _partition_tuples,
+    enumerate_partitions,
+    involution_characters,
+    mn_character,
+    z_order,
+)
 from .qpoly import rational_to_json
 
 Rational = Union[Fraction, int]
@@ -178,11 +185,6 @@ def _p_in_m_row(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     return coords
 
 
-def _p_in_m_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """Monomial coordinates of every degree-n power-sum basis element."""
-    return {mu: _p_in_m_row(mu) for mu in _partition_tuples(n)}
-
-
 @lru_cache(maxsize=None)
 def _m_in_p_row(lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     """Power-sum coordinates of the monomial basis element m_lam.
@@ -208,11 +210,6 @@ def _m_in_p_row(lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
                 if j != k:
                     hit[j] += x[k] * val
     return {parts_list[j]: x[j] for j in range(i + 1) if x[j]}
-
-
-def _m_in_p_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """Power-sum coordinates of every degree-n monomial basis element."""
-    return {lam: _m_in_p_row(lam) for lam in _partition_tuples(n)}
 
 
 @lru_cache(maxsize=None)
@@ -287,54 +284,48 @@ def involution_class_values(gamma: PowerExpansion) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# brick tabloids
+# Gamma at the involution classes, in closed form
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _brick_weight_sum(bricks: tuple[tuple[int, int], ...], rows: tuple[int, ...]) -> int:
-    """Total weight over fillings of the given rows from the given brick
-    multiset (encoded as sorted (value, count) pairs)."""
-    if not rows:
-        return 1 if not bricks else 0
-    target = rows[0]
-    rest = rows[1:]
-    total = 0
+def gamma_values(basis: str, lam: Partition) -> tuple[int, ...]:
+    """Gamma(j) for j = 0..floor(n/2): the inverse Frobenius image of the
+    basis element indexed by lam at cycle type 2^j,1^(n-2j).  Equal to
+    involution_class_values(power_expansion(basis, lam)), without expanding.
 
-    def compose(remaining: int, avail: dict[int, int], last: int) -> None:
-        nonlocal total
-        if remaining == 0:
-            key = tuple(sorted((v, c) for v, c in avail.items() if c > 0))
-            total += last * _brick_weight_sum(key, rest)
-            return
-        for v in sorted(v for v, cnt in avail.items() if cnt > 0 and v <= remaining):
-            avail[v] -= 1
-            compose(remaining - v, avail, v)
-            avail[v] += 1
-
-    compose(target, dict(bricks), 0)
-    return total
-
-
-def _brick_weight(lam: Partition, mu: Partition) -> int:
-    key = tuple(sorted(Counter(lam.parts).items()))
-    return _brick_weight_sum(key, mu.parts)
-
-
-def m_inverse_value(lam: Partition, mu: Partition) -> int:
-    """Monomial class-function value at cycle type mu via the signed weighted
-    brick-tabloid count: (-1)^(l(lam)-l(mu)) times the total weight."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: |lam|={lam.n}, |mu|={mu.n}")
-    return (-1) ** (len(lam) - len(mu)) * _brick_weight(lam, mu)
-
-
-def f_inverse_value(lam: Partition, mu: Partition) -> int:
-    """Sign-scaled-monomial class-function value at cycle type mu:
-    (-1)^(n-l(mu)) times the total brick-tabloid weight."""
-    if lam.n != mu.n:
-        raise ValueError(f"degree mismatch: |lam|={lam.n}, |mu|={mu.n}")
-    return (-1) ** (lam.n - len(mu)) * _brick_weight(lam, mu)
+    m, f: brick tabloids (Egecioglu-Remmel) with bricks of length 1 and 2,
+    so zero unless lam = 2^a,1^(n-2a), and then (-1)^(j-a) C(j,a) 2^a, times
+    (-1)^(n-l(lam)) = (-1)^a for f.  h: the permutation character of the
+    Young subgroup S_lam, i.e. the colourings of the cycles using colour i
+    lam_i times: j!(n-2j)! times [y^j] of the product over parts k of
+    sum_t y^t / (t!(k-2t)!).  e: (-1)^j times h.  p: z_lam at the one j with
+    lam = 2^j,1^(n-2j).  s: Murnaghan-Nakayama with 2-strips, then the
+    1-strips counted by the hook-length formula.
+    """
+    n, half = lam.n, lam.n // 2
+    a = lam.transpositions_if_involution_shape()
+    if basis in ("m", "f"):
+        if a is None:
+            return (0,) * (half + 1)
+        shift = 0 if basis == "f" else a
+        return tuple((-1) ** (j + shift) * comb(j, a) << a for j in range(half + 1))
+    if basis == "p":
+        return tuple(z_order(lam) if j == a else 0 for j in range(half + 1))
+    if basis in ("h", "e"):
+        # integer factors k!/(t!(k-2t)!), truncated at y^half; the k! are
+        # divided out at the end
+        poly, den = [1] + [0] * half, 1
+        for k in lam.parts:
+            f = [factorial(k) // (factorial(t) * factorial(k - 2 * t)) for t in range(k // 2 + 1)]
+            poly = [sum(c * poly[u - t] for t, c in enumerate(f[: u + 1])) for u in range(half + 1)]
+            den *= factorial(k)
+        sign = -1 if basis == "e" else 1
+        return tuple(
+            sign**j * factorial(j) * factorial(n - 2 * j) * poly[j] // den for j in range(half + 1)
+        )
+    if basis == "s":
+        return involution_characters(lam)
+    raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +338,7 @@ def alphas(gamma_j: Sequence[Fraction]) -> tuple[Fraction, ...]:
     sum_{j=0..i} C(i,j) * gamma_j[j] for i = 0..len(gamma_j)-1, where
     gamma_j[j] is the inverse Frobenius image at cycle type 2^j,1^(n-2j)."""
     return tuple(
-        sum((comb(i, j) * gamma_j[j] for j in range(i + 1)), Fraction(0))
-        for i in range(len(gamma_j))
+        Fraction(sum(comb(i, j) * gamma_j[j] for j in range(i + 1))) for i in range(len(gamma_j))
     )
 
 
@@ -363,9 +353,4 @@ def alpha(gamma: PowerExpansion, i: int) -> Fraction:
 
 def alpha_table(n: int, basis: str) -> list[tuple[Partition, list[Fraction]]]:
     """Rows (lam, [alpha_0 .. alpha_halfn]) for all lam of n, reverse-lex order."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    return [
-        (lam, list(alphas(involution_class_values(power_expansion(basis, lam)))))
-        for lam in enumerate_partitions(n)
-    ]
+    return [(lam, list(alphas(gamma_values(basis, lam)))) for lam in enumerate_partitions(n)]

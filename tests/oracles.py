@@ -12,12 +12,16 @@ found by scanning the level sequence, the proper-shift pairs found by
 testing every ordered vertex pair of every tree, the monotonicity sweep run
 one (pair, basis, shape) check at a time on per-tree q-polynomial tables,
 the a[i][r] rows assembled from the monomial-basis polynomials and divided
-by 2^i, the poset and verify json reports written by json.dumps, and integer
-determinants by fraction-free (Bareiss) elimination.
+by 2^i, the poset and verify json reports written by json.dumps, integer
+determinants by fraction-free (Bareiss) elimination, the m- and f-class
+values at every cycle type by signed weighted brick-tabloid counts, the
+full monomial/power-sum transition rows, and characters by border-strip
+recursion over the parts of mu.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -57,6 +61,91 @@ def hook_length_dimension(parts: tuple[int, ...]) -> int:
             hook = (row - j) + (conj[j] - i) - 1
             dim //= hook
     return dim
+
+
+@lru_cache(maxsize=None)
+def _brick_weight_sum(bricks: tuple[tuple[int, int], ...], rows: tuple[int, ...]) -> int:
+    """Total weight over fillings of the given rows from the given brick
+    multiset (encoded as sorted (value, count) pairs).  A brick tabloid
+    fills each row with bricks lying inside it; its weight is the product
+    over rows of the length of the row's last brick."""
+    if not rows:
+        return 1 if not bricks else 0
+    target = rows[0]
+    rest = rows[1:]
+    total = 0
+
+    def compose(remaining: int, avail: dict[int, int], last: int) -> None:
+        nonlocal total
+        if remaining == 0:
+            key = tuple(sorted((v, c) for v, c in avail.items() if c > 0))
+            total += last * _brick_weight_sum(key, rest)
+            return
+        for v in sorted(v for v, cnt in avail.items() if cnt > 0 and v <= remaining):
+            avail[v] -= 1
+            compose(remaining - v, avail, v)
+            avail[v] += 1
+
+    compose(target, dict(bricks), 0)
+    return total
+
+
+def _brick_weight(lam, mu) -> int:
+    key = tuple(sorted(Counter(lam.parts).items()))
+    return _brick_weight_sum(key, mu.parts)
+
+
+def m_inverse_value(lam, mu) -> int:
+    """Monomial class-function value at cycle type mu via the signed weighted
+    brick-tabloid count: (-1)^(l(lam)-l(mu)) times the total weight."""
+    if lam.n != mu.n:
+        raise ValueError(f"degree mismatch: |lam|={lam.n}, |mu|={mu.n}")
+    return (-1) ** (len(lam) - len(mu)) * _brick_weight(lam, mu)
+
+
+def f_inverse_value(lam, mu) -> int:
+    """Sign-scaled-monomial class-function value at cycle type mu:
+    (-1)^(n-l(mu)) times the total brick-tabloid weight."""
+    if lam.n != mu.n:
+        raise ValueError(f"degree mismatch: |lam|={lam.n}, |mu|={mu.n}")
+    return (-1) ** (lam.n - len(mu)) * _brick_weight(lam, mu)
+
+
+def p_in_m_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+    """Monomial coordinates of every degree-n power-sum basis element."""
+    from treegmf.partitions import _partition_tuples
+    from treegmf.symfunc import _p_in_m_row
+
+    return {mu: _p_in_m_row(mu) for mu in _partition_tuples(n)}
+
+
+def m_in_p_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+    """Power-sum coordinates of every degree-n monomial basis element."""
+    from treegmf.partitions import _partition_tuples
+    from treegmf.symfunc import _m_in_p_row
+
+    return {lam: _m_in_p_row(lam) for lam in _partition_tuples(n)}
+
+
+@lru_cache(maxsize=None)
+def recursive_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi^lam(mu) by Murnaghan-Nakayama, one recursion level per part of
+    mu: remove a border strip of size mu[0] in every way, found on the
+    first-column hook lengths of lam, and recurse on the rest of mu."""
+    if not mu:
+        return 1
+    k, l = mu[0], len(lam)
+    beta = [lam[i] + (l - 1 - i) for i in range(l)]
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for b2 in beta if nb < b2 < b)
+        newbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+        smaller = tuple(p for i, x in enumerate(newbeta) if (p := x - (l - 1 - i)) > 0)
+        total += (-1) ** height * recursive_character(smaller, mu[1:])
+    return total
 
 
 def prufer_to_edges(seq: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -184,7 +273,7 @@ def assembled_air_rows(tree) -> list[list[int]]:
     assembled from the matching profile at that function's involution-class
     values (brick-tabloid counts), then divided by 2^i, each quotient
     asserted to be an integer."""
-    from treegmf import Partition, m_inverse_value
+    from treegmf import Partition
     from treegmf.gmf import coefficients_from_profile, matching_profile
 
     n = tree.n

@@ -27,11 +27,9 @@ from treegmf import (
     air_table,
     enumerate_free_trees,
     enumerate_partitions,
-    f_inverse_value,
     gmf_poly_bruteforce,
     gmf_poly_matching,
     inverse_frobenius,
-    m_inverse_value,
     power_expansion,
     proper_gts_pairs,
 )
@@ -39,7 +37,7 @@ from treegmf.gmf import coefficients_from_profile, matching_profile
 from treegmf.symfunc import alpha_table, involution_class_values
 from treegmf.cli import main as cli_main
 
-from oracles import all_labeled_trees_via_prufer, free_tree_count
+from oracles import all_labeled_trees_via_prufer, f_inverse_value, free_tree_count, m_inverse_value
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treegmf import Partition, enumerate_partitions, mn_character, z_order
 
-from oracles import hook_length_dimension, partition_count
+from oracles import hook_length_dimension, partition_count, recursive_character
 
 
 def test_partition_normalizes_and_validates():
@@ -87,6 +88,23 @@ def test_mn_character_degree_matches_hook_lengths():
         identity = Partition([1] * n)
         for lam in enumerate_partitions(n):
             assert mn_character(lam, identity) == hook_length_dimension(lam.parts)
+
+
+def test_mn_character_equals_the_recursive_rule():
+    for n in range(1, 13):
+        lams = enumerate_partitions(n)
+        for lam in lams:
+            for mu in lams:
+                assert mn_character(lam, mu) == recursive_character(lam.parts, mu.parts)
+
+
+def test_mn_character_of_a_long_cycle_type():
+    # 1500 strips, one per part of mu, would pass the default limit of 1000
+    # frames if each took a level of recursion.  The 2-quotient of (m, m)
+    # is ((m/2), (m/2)), so the value is C(m, m/2) up to sign.
+    value = mn_character(Partition([1500, 1500]), Partition([2] * 1500))
+    assert type(value) is int
+    assert abs(value) == comb(1500, 750)
 
 
 def test_mn_character_rejects_degree_mismatch():

@@ -7,16 +7,20 @@ from treegmf import (
     Partition,
     alpha,
     enumerate_partitions,
-    f_inverse_value,
     inverse_frobenius,
-    m_inverse_value,
     mn_character,
     power_expansion,
     z_order,
 )
-from treegmf.symfunc import PowerExpansion, involution_class_values, _m_in_p_rows, _p_in_m_rows
+from treegmf.symfunc import PowerExpansion, gamma_values, involution_class_values
 
-from oracles import hook_length_dimension
+from oracles import (
+    f_inverse_value,
+    hook_length_dimension,
+    m_in_p_rows,
+    m_inverse_value,
+    p_in_m_rows,
+)
 
 
 def P(*parts):
@@ -61,8 +65,8 @@ def test_h_and_e_are_multiplicative():
 def test_m_round_trip_is_identity():
     # the p-in-m and m-in-p matrices must compose to the identity exactly
     for n in range(1, 8):
-        p_rows = _p_in_m_rows(n)
-        m_rows = _m_in_p_rows(n)
+        p_rows = p_in_m_rows(n)
+        m_rows = m_in_p_rows(n)
         for lam_t in p_rows:
             acc = {}
             for mu_t, c in m_rows[lam_t].items():
@@ -84,7 +88,7 @@ def test_f_is_sign_scaled_m():
 def test_p_in_m_row_resubstitutes():
     # substituting the m-expansions back into a p-in-m row recovers the unit
     n = 6
-    row = _p_in_m_rows(n)[(2, 2, 1, 1)]
+    row = p_in_m_rows(n)[(2, 2, 1, 1)]
     total = PowerExpansion.zero(n)
     for mu_t, c in row.items():
         total = total + power_expansion("m", Partition(mu_t)) * c
@@ -132,6 +136,19 @@ def test_involution_values_match_dense_route():
                 vals = involution_class_values(gamma)
                 for j in range(n // 2 + 1):
                     assert vals[j] == dense.at_involution(j)
+
+
+def test_gamma_values_equal_the_power_sum_route():
+    for n in range(1, 15):
+        for basis in BASES:
+            for lam in enumerate_partitions(n):
+                expect = involution_class_values(power_expansion(basis, lam))
+                assert gamma_values(basis, lam) == expect, (basis, lam)
+
+
+def test_gamma_values_rejects_bad_basis():
+    with pytest.raises(ValueError):
+        gamma_values("x", P(2))
 
 
 # ---------------------------------------------------------------------------

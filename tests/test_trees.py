@@ -221,9 +221,19 @@ def test_rooted_code_matches_its_recursive_definition():
 
 
 def test_canonical_code_of_a_long_path():
-    code = ahu_canonical(LabeledTree.path(3000)).code
+    tree = LabeledTree.path(3000)
+    code = ahu_canonical(tree).code
     # rooted at a middle vertex: the two halves, longer first
     assert code == "(" + "(" * 1500 + ")" * 1500 + "(" * 1499 + ")" * 1499 + ")"
+    assert canonical_code(tree.n, tree.adj) == code
+
+
+def test_canonical_code_of_a_large_star():
+    # the widest tree on 3000 vertices, beside the deepest one above:
+    # 2999 equal child codes under one root
+    tree = LabeledTree.star(3000)
+    assert ahu_canonical(tree).code == "(" + "()" * 2999 + ")"
+    assert canonical_code(tree.n, tree.adj) == "(" + "()" * 2999 + ")"
 
 
 def test_enumerated_trees_equal_their_checked_construction():
