@@ -26,7 +26,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from fractions import Fraction
 
 # coefficients_from_profile, involution_class_values, matching_profile and
 # the two *_report_from_* checks have no caller here: perfbench/tracer.py
@@ -44,7 +43,7 @@ from .gmf import (  # noqa: F401
 from .gts import pairs_to_json_text, poset_to_dot, proper_gts_pairs
 from .partitions import Partition
 from .qpoly import rational_to_json
-from .symfunc import BASES, involution_class_values, power_expansion  # noqa: F401
+from .symfunc import BASES, alpha_table, involution_class_values, power_expansion  # noqa: F401
 from .trees import LabeledTree, enumerate_free_trees, parse_tree
 
 OUT_DIR_ENV = "TREEGMF_OUT_DIR"
@@ -81,17 +80,29 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _as_bool(v: str) -> bool:
-    return v.lower() in ("1", "true", "yes", "on")
+    try:
+        return _BOOLS[v.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {v!r}") from None
 
 
 class _Options:
-    """Flag > config-file > default resolution for one subcommand."""
+    """Flag > config-file > default resolution for one subcommand.  A config
+    key must be the long name of one of the subcommand's flags."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.path = getattr(args, "config", None)
         self.config = load_config(self.path) if self.path else {}
+        flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "func", "config"}
+        for key in self.config:
+            if key not in flags:
+                raise ConfigError(f"{self.path}: unknown key {key!r} for {args.command}")
 
     def get(self, key: str, default=None, conv=None):
         value = getattr(self.args, key.replace("-", "_"), None)
@@ -147,6 +158,27 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text[start:start + (1 << 16)])
 
 
+def _emit(opts: _Options, **views) -> int:
+    """Write the view of a table command that --format names (default text).
+    views maps text, csv and json to functions that build the text lines,
+    the csv rows and the json object; only the chosen one is called."""
+    fmt = opts.get("format", "text")
+    if fmt not in ("text", "csv", "json"):
+        print(f"error: format must be text, csv or json, got {fmt}", file=sys.stderr)
+        return 2
+    view = views[fmt]()
+    if fmt == "text":
+        text = "\n".join(view) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(view)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(view, indent=2) + "\n"
+    _write_or_print(text, opts.get("out"))
+    return 0
+
+
 def parse_partition_arg(text: str) -> Partition:
     """Accept "2,1,1" or exponential "2^2,1^3"."""
     parts: list[int] = []
@@ -167,10 +199,6 @@ def parse_partition_arg(text: str) -> Partition:
     return Partition(parts)
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _parse_bases(text: str) -> tuple[str, ...]:
     bases = tuple(b.strip() for b in text.split(",") if b.strip())
     bad = [b for b in bases if b not in BASES]
@@ -178,10 +206,6 @@ def _parse_bases(text: str) -> tuple[str, ...]:
         raise ValueError(f"unknown bases {bad}; choose from {','.join(BASES)}")
     # fixed canonical order regardless of how the user listed them
     return tuple(b for b in BASES if b in bases)
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -233,42 +257,34 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
     opts = _Options(args)
     n = opts.get("n", conv=int)
     basis = opts.get("basis", "m")
-    fmt = opts.get("format", "text")
     if n is None or n < 2:
         print("error: --n must be >= 2", file=sys.stderr)
         return 2
     if basis not in BASES:
         print(f"error: basis must be one of {','.join(BASES)}", file=sys.stderr)
         return 2
-    from .symfunc import alpha_table
-
     rows = alpha_table(n, basis)
-    half = n // 2
-    if fmt == "text":
+    heads = [f"i={i}" for i in range(n // 2 + 1)]
+
+    def text() -> list[str]:
         label_w = max(len(lam.to_exp_string()) for lam, _ in rows) + 2
-        cells = [[_frac_str(v) for v in vals] for _, vals in rows]
+        cells = [[str(v) for v in vals] for _, vals in rows]
         col_w = max(4, max((len(c) for row in cells for c in row), default=4)) + 1
-        header = "lambda".ljust(label_w) + "".join(f"i={i}".rjust(col_w) for i in range(half + 1))
-        lines = [f"alpha table: n={n} basis={basis}", header]
+        lines = [f"alpha table: n={n} basis={basis}",
+                 "lambda".ljust(label_w) + "".join(h.rjust(col_w) for h in heads)]
         for (lam, _), row in zip(rows, cells):
             lines.append(lam.to_exp_string().ljust(label_w) + "".join(c.rjust(col_w) for c in row))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda"] + [f"i={i}" for i in range(half + 1)])
-        for lam, vals in rows:
-            writer.writerow([lam.to_exp_string()] + [_frac_str(v) for v in vals])
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = _json_dump({"n": n, "basis": basis, "rows": [
+        return lines
+
+    return _emit(
+        opts,
+        text=text,
+        csv=lambda: [["lambda", *heads]] + [[lam.to_exp_string(), *vals] for lam, vals in rows],
+        json=lambda: {"n": n, "basis": basis, "rows": [
             {"lambda": list(lam.parts), "values": [rational_to_json(v) for v in vals]}
-            for lam, vals in rows]})
-    else:
-        print(f"error: format must be text, csv or json, got {fmt}", file=sys.stderr)
-        return 2
-    _write_or_print(text, opts.get("out"))
-    return 0
+            for lam, vals in rows
+        ]},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,55 +318,35 @@ def cmd_gmf(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = gmf_poly_matching(tree, gamma, basis=basis, lam=lam)
-    if opts.get("oracle", conv=bool):
+    oracle = opts.get("oracle", conv=bool)
+    if oracle:
         if tree.n > max_brute:
             print(
                 f"error: --oracle needs n <= {max_brute} (raise with --max-brute)",
                 file=sys.stderr,
             )
             return 2
-        oracle = gmf_poly_bruteforce(tree, gamma, max_brute=max_brute)
-        if oracle.poly != result.poly:
+        permutation_sum = gmf_poly_bruteforce(tree, gamma, max_brute=max_brute)
+        if permutation_sum.poly != result.poly:
             print("ORACLE MISMATCH: permutation sum disagrees with matching expansion",
                   file=sys.stderr)
             return 1
-    fmt = opts.get("format", "text")
-    code = result.tree.code
-    if fmt == "text":
-        lines = [
+    code, poly, rs = result.tree.code, result.poly, range(tree.n + 1)
+    shape = ",".join(map(str, lam.parts))
+    return _emit(
+        opts,
+        text=lambda: [
             f"tree: n={tree.n} code={code}",
             f"basis={basis} lambda={lam.to_exp_string()}",
             "signed coefficients c_r (raw coefficient of x^(n-r) is (-1)^r c_r):",
-        ]
-        for r in range(tree.n + 1):
-            lines.append(f"  r={r}: {result.poly.signed_coefficient(r)}")
-        if opts.get("oracle", conv=bool):
-            lines.append("oracle: permutation sum agrees")
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        obj = {
-            "tree": code,
-            "n": tree.n,
-            "basis": basis,
-            "lambda": list(lam.parts),
-            "poly": result.poly.to_json_obj(),
-        }
-        text = _json_dump(obj)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["tree", "basis", "lambda", "r", "coefficient"])
-        for r in range(tree.n + 1):
-            writer.writerow(
-                [code, basis, ",".join(map(str, lam.parts)), r,
-                 result.poly.signed_coefficient(r).csv_cell()]
-            )
-        text = buf.getvalue()
-    else:
-        print(f"error: format must be text, csv or json, got {fmt}", file=sys.stderr)
-        return 2
-    _write_or_print(text, opts.get("out"))
-    return 0
+            *(f"  r={r}: {poly.signed_coefficient(r)}" for r in rs),
+            *(["oracle: permutation sum agrees"] if oracle else []),
+        ],
+        csv=lambda: [["tree", "basis", "lambda", "r", "coefficient"]]
+        + [[code, basis, shape, r, poly.signed_coefficient(r).csv_cell()] for r in rs],
+        json=lambda: {"tree": code, "n": tree.n, "basis": basis, "lambda": list(lam.parts),
+                      "poly": poly.to_json_obj()},
+    )
 
 
 def cmd_air_table(args: argparse.Namespace) -> int:
@@ -365,38 +361,18 @@ def cmd_air_table(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     table = air_table(tree)
-    fmt = opts.get("format", "text")
-    n = tree.n
-    if fmt == "text":
-        lines = [f"a[i][r] table: n={n} code={table.tree.code}"]
-        for i in range(n // 2 + 1):
-            for r in range(n + 1):
-                lines.append(f"  i={i} r={r}: {table.at(i, r)}")
-        text = "\n".join(lines) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["tree", "i", "r", "value"])
-        for i in range(n // 2 + 1):
-            for r in range(n + 1):
-                writer.writerow([table.tree.code, i, r, table.at(i, r).csv_cell()])
-        text = buf.getvalue()
-    elif fmt == "json":
-        obj = {
-            "tree": table.tree.code,
-            "n": n,
-            "values": [
-                {"i": i, "r": r, "value": table.at(i, r).to_json_obj()}
-                for i in range(n // 2 + 1)
-                for r in range(n + 1)
-            ],
-        }
-        text = _json_dump(obj)
-    else:
-        print(f"error: format must be text, csv or json, got {fmt}", file=sys.stderr)
-        return 2
-    _write_or_print(text, opts.get("out"))
-    return 0
+    n, code = tree.n, table.tree.code
+    cells = [(i, r) for i in range(n // 2 + 1) for r in range(n + 1)]
+    return _emit(
+        opts,
+        text=lambda: [f"a[i][r] table: n={n} code={code}"]
+        + [f"  i={i} r={r}: {table.at(i, r)}" for i, r in cells],
+        csv=lambda: [["tree", "i", "r", "value"]]
+        + [[code, i, r, table.at(i, r).csv_cell()] for i, r in cells],
+        json=lambda: {"tree": code, "n": n, "values": [
+            {"i": i, "r": r, "value": table.at(i, r).to_json_obj()} for i, r in cells
+        ]},
+    )
 
 
 # ---------------------------------------------------------------------------

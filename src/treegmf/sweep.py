@@ -23,9 +23,9 @@ a combination of at most n/2+1 difference rows.
   `symfunc.gamma_values` in closed form, with no power-sum expansion; equal
   (vector, mode) keys are checked once.
 * Per tree, a worker takes the integer rows a[i][r][e] (coefficient of u^e)
-  from `gmf.air_rows`, and for each absolute-mode gamma vector builds the
-  rows |c_r| as integers (its alphas cleared to integers A over a
-  denominator D).
+  from `gmf.air_rows` and appends, for each absolute-mode gamma vector with
+  integer alphas A, the row |c_r| = |sum_i A_i a[i][r]|: one row list per
+  tree.
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
   in `qpoly.SlotPacking`, the one slot format of the package (the
   matching-profile DP packs and decodes through it too).  Packing is
@@ -34,10 +34,13 @@ a combination of at most n/2+1 difference rows.
   largest |a| (|Delta| is at most twice that) times its largest
   sum_i |A_i|, plus the sign bit; when cfg.out asks for a report, it is
   rounded up to 1, 2, 4 or 8 bytes for the writer's decode.
-* Per pair and distinct (gamma vector, mode): s = sum_i A_i Delta_i, or the
-  difference of the two packed |c_r| rows in absolute mode, and one cone
-  test on every slot at once: adding the bias that sets only each slot's top
-  bit leaves every slot's top bit set exactly when every slot is >= 0.
+* Every (gamma vector, mode) has one plan, a list of (row index, integer
+  coefficient): the nonzero (i, A_i) in signed mode, its one |c_r| row with
+  coefficient 1 in absolute mode.  Per pair, the packed rows are differenced
+  once, and per vector s = sum of coefficient * difference row over its
+  plan, with one cone test on every slot at once: adding the bias that sets
+  only each slot's top bit leaves every slot's top bit set exactly when
+  every slot is >= 0.
 * Every (pair, basis, lam) check is counted and gets its own failure line;
   checks that share a gamma vector share its result, and none is skipped
   because another implies it.
@@ -58,7 +61,6 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from . import gmf
 from .gts import GtsPair, proper_gts_pairs
@@ -143,11 +145,11 @@ def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
     return max(1, min(jobs, cpus or 1, tasks))
 
 
-def tree_rows(payload) -> tuple[list[list[int]], list[list[int]]]:
+def tree_rows(payload) -> list[list[int]]:
     """Per-tree worker.  Returns the integer rows a[i] of `gmf.air_rows` for
     i = 0..n/2, each flat over (r, e) with entry r*(n+1)+e the coefficient
-    of u^e = q^(2e) in a[i][r], and for each integer alpha vector A the row
-    |sum_i A_i a[i]|."""
+    of u^e = q^(2e) in a[i][r], followed for each integer alpha vector A by
+    the row |sum_i A_i a[i]|."""
     tree, abs_alphas = payload
     # looked up on the module at call time, so wrappers installed on
     # treegmf.gmf (perfbench/tracer.py) also see calls from pool workers
@@ -159,7 +161,7 @@ def tree_rows(payload) -> tuple[list[list[int]], list[list[int]]]:
             if a:
                 acc = [x + a * y for x, y in zip(acc, row)]
         abs_rows.append([abs(x) for x in acc])
-    return rows, abs_rows
+    return rows + abs_rows
 
 
 @dataclass(frozen=True)
@@ -168,17 +170,16 @@ class SweepResult:
     in report order, vector indexing the sums of `_differences`.  The rest
     is what `write_report` recomputes each pair's differences from: codes
     holds per pair its (lower, upper) codes, rows per tree code its packed
-    a[i] rows and |c_r| rows, and plans and dens per vector its plan and
-    its denominator D."""
+    rows (the a[i] rows, then the |c_r| rows), and plans per vector its
+    plan."""
 
     summary: dict
     ok: bool
     checks: tuple[tuple[str, Partition, str, int], ...]
     codes: tuple[tuple[str, str], ...]
     slots: SlotPacking
-    rows: dict[str, tuple[list[int], list[int]]]
-    plans: tuple
-    dens: tuple[int, ...]
+    rows: dict[str, list[int]]
+    plans: tuple[list[tuple[int, int]], ...]
 
 
 def _witness(pair: GtsPair) -> str:
@@ -187,16 +188,10 @@ def _witness(pair: GtsPair) -> str:
 
 
 def _differences(rows: dict, plans, lo: str, up: str) -> tuple[list[int], list[int]]:
-    """The packed rows Delta_i of the pair (lo, up), and per vector its
-    packed sum: sum_i A_i Delta_i, or in absolute mode the difference of the
-    two trees' packed |c_r| rows."""
-    (lo_rows, lo_abs), (up_rows, up_abs) = rows[lo], rows[up]
-    deltas = [a - b for a, b in zip(lo_rows, up_rows)]
-    sums = [
-        lo_abs[plan] - up_abs[plan] if isinstance(plan, int)
-        else sum(a * deltas[i] for i, a in plan)
-        for plan in plans
-    ]
+    """The packed difference of every row of the pair (lo, up), the first
+    n/2+1 being Delta_i, and per vector its packed sum over its plan."""
+    deltas = [a - b for a, b in zip(rows[lo], rows[up])]
+    sums = [sum(a * deltas[k] for k, a in plan) for plan in plans]
     return deltas, sums
 
 
@@ -204,7 +199,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     """Check every pair of `pairs` (their trees among `trees`) for every
     basis and shape of cfg, and the a[i][r] table along it."""
     n = cfg.n
-    m = n + 1
+    m, half = n + 1, n // 2 + 1
     match = parse_shape_pattern(cfg.lambda_filter)
     lambdas = [lam for lam in enumerate_partitions(n) if match(lam)]
     vector_index: dict[tuple, int] = {}
@@ -214,20 +209,17 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         for lam in lambdas:
             key = (gamma_values(basis, lam), mode)
             checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
-    # per vector: its denominator D, and either the nonzero (i, A_i) of its
-    # alphas cleared to integers (signed) or the index of its |c_r| rows
-    dens, plans, abs_alphas, weight = [], [], [], 1
+    # per vector its plan: the nonzero (i, A_i) of its integer alphas
+    # (signed), or its |c_r| row, placed after the a[i] rows (absolute)
+    plans, abs_alphas, weight = [], [], 1
     for gamma_j, mode in vector_index:
         alpha = alphas(gamma_j)
-        den = lcm(*(a.denominator for a in alpha))
-        coeffs = [a.numerator * (den // a.denominator) for a in alpha]
-        weight = max(weight, sum(map(abs, coeffs)))
-        dens.append(den)
+        weight = max(weight, sum(map(abs, alpha)))
         if mode == "absolute":
-            plans.append(len(abs_alphas))
-            abs_alphas.append(coeffs)
+            plans.append([(half + len(abs_alphas), 1)])
+            abs_alphas.append(alpha)
         else:
-            plans.append([(i, a) for i, a in enumerate(coeffs) if a])
+            plans.append([(i, a) for i, a in enumerate(alpha) if a])
     payloads = [(t.representative, abs_alphas) for t in trees]
     workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
     if workers > 1:
@@ -239,12 +231,9 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         results = [tree_rows(p) for p in payloads]
 
     # |Delta| <= 2 max|a|, and |c_r| <= weight * max|a|
-    amax = max(abs(v) for rows, _ in results for row in rows for v in row)
+    amax = max(abs(v) for rows in results for row in rows[:half] for v in row)
     slots = SlotPacking(m * m, 2 * amax * weight, castable=cfg.out is not None)
-    packed = {
-        t.code: ([slots.pack(row) for row in rows], [slots.pack(row) for row in abs_rows])
-        for t, (rows, abs_rows) in zip(trees, results)
-    }
+    packed = {t.code: [slots.pack(row) for row in rows] for t, rows in zip(trees, results)}
 
     def bad_rs(s: int) -> list[int]:
         return [r for r, row in enumerate(slots.rows(s, m)) if min(row, default=0) < 0]
@@ -264,9 +253,10 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
                         f"monotone lower={lo} upper={up} basis={basis} "
                         f"lambda={lam.to_exp_string()} mode={mode} r={bad[k]} {_witness(pair)}"
                     )
-        if not all(map(slots.nonnegative, deltas)):
+        air = deltas[:half]
+        if not all(map(slots.nonnegative, air)):
             air_failed += 1
-            bad_entries = [(i, r) for i, d in enumerate(deltas) for r in bad_rs(d)]
+            bad_entries = [(i, r) for i, d in enumerate(air) for r in bad_rs(d)]
             failures.append(f"air lower={lo} upper={up} entries={bad_entries} {_witness(pair)}")
 
     summary = {
@@ -286,7 +276,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     }
     ok = monotone_failed == 0 and air_failed == 0
     codes = tuple((p.lower.code, p.upper.code) for p in pairs)
-    return SweepResult(summary, ok, tuple(checks), codes, slots, packed, tuple(plans), tuple(dens))
+    return SweepResult(summary, ok, tuple(checks), codes, slots, packed, tuple(plans))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -328,15 +318,14 @@ def _json_list(items: list[str], pad: str) -> str:
 
 
 class _Cells(dict):
-    """c -> form % (c/den in lowest terms), formatted once per c."""
+    """c -> form % (c, 1), formatted once per c."""
 
-    def __init__(self, den: int, form: str) -> None:
+    def __init__(self, form: str) -> None:
         super().__init__()
-        self.den, self.form = den, form
+        self.form = form
 
     def __missing__(self, c: int) -> str:
-        g = gcd(c, self.den)
-        text = self[c] = self.form % (c // g, self.den // g)
+        text = self[c] = self.form % (c, 1)
         return text
 
 
@@ -348,12 +337,12 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
     before the next pair's is made, so the report is never held whole.  Both
     formats list every air row after every monotone row, so the air rows
     come from a second walk over the pairs."""
-    m = cfg.n + 1
+    m, half = cfg.n + 1, cfg.n // 2 + 1
     slots = result.slots
     form, sep = (_JSON_COEFF, _JSON_SEP) if cfg.fmt == "json" else ("%d/%d", _CSV_SEP)
-    cells = {den: _Cells(den, form).__getitem__ for den in {1, *result.dens}}
+    cell = _Cells(form).__getitem__
 
-    def decoded(s: int, cell) -> list[tuple[str, bool]]:
+    def decoded(s: int) -> list[tuple[str, bool]]:
         """Per row of the packed difference s: its coefficients' texts
         joined ("" for a zero row), and whether it is >= 0."""
         ok = slots.nonnegative(s)
@@ -364,12 +353,12 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
 
     def monotone_blocks(lo: str, up: str) -> list[list[tuple[str, bool]]]:
         _, sums = _differences(result.rows, result.plans, lo, up)
-        return [decoded(s, cells[den]) for s, den in zip(sums, result.dens)]
+        return [decoded(s) for s in sums]
 
     def air_block(lo: str, up: str) -> list[tuple[str, bool]]:
         """The rows of every Delta_i, entry k being (i, r) = divmod(k, m)."""
-        (lo_rows, _), (up_rows, _) = result.rows[lo], result.rows[up]
-        return [row for a, b in zip(lo_rows, up_rows) for row in decoded(a - b, cells[1])]
+        lo_rows, up_rows = result.rows[lo][:half], result.rows[up][:half]
+        return [row for a, b in zip(lo_rows, up_rows) for row in decoded(a - b)]
 
     write = _write_json if cfg.fmt == "json" else _write_csv
     write(fh, cfg, result, monotone_blocks, air_block)

@@ -333,12 +333,14 @@ def gamma_values(basis: str, lam: Partition) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def alphas(gamma_j: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def alphas(gamma_j: Sequence[Rational]) -> tuple[Rational, ...]:
     """Binomial transform of involution-class values: alpha_i =
     sum_{j=0..i} C(i,j) * gamma_j[j] for i = 0..len(gamma_j)-1, where
-    gamma_j[j] is the inverse Frobenius image at cycle type 2^j,1^(n-2j)."""
+    gamma_j[j] is the inverse Frobenius image at cycle type 2^j,1^(n-2j).
+    Integers for the integer values of `gamma_values`, Fractions for
+    Fraction values."""
     return tuple(
-        Fraction(sum(comb(i, j) * gamma_j[j] for j in range(i + 1))) for i in range(len(gamma_j))
+        sum(comb(i, j) * gamma_j[j] for j in range(i + 1)) for i in range(len(gamma_j))
     )
 
 
@@ -351,6 +353,7 @@ def alpha(gamma: PowerExpansion, i: int) -> Fraction:
     return alphas(involution_class_values(gamma))[i]
 
 
-def alpha_table(n: int, basis: str) -> list[tuple[Partition, list[Fraction]]]:
-    """Rows (lam, [alpha_0 .. alpha_halfn]) for all lam of n, reverse-lex order."""
+def alpha_table(n: int, basis: str) -> list[tuple[Partition, list[int]]]:
+    """Rows (lam, [alpha_0 .. alpha_halfn]) for all lam of n, reverse-lex order;
+    the alphas are integers."""
     return [(lam, list(alphas(gamma_values(basis, lam)))) for lam in enumerate_partitions(n)]

@@ -317,11 +317,22 @@ def matchings(tree: LabeledTree) -> list[Matching]:
 
 
 def matching_counts(tree: LabeledTree) -> dict[int, int]:
-    """Number of matchings per size, the empty matching included."""
-    counts: dict[int, int] = {}
-    for m in matchings(tree):
-        counts[m.size] = counts.get(m.size, 0) + 1
-    return counts
+    """Number of matchings per size, the empty matching included, without
+    visiting them (`matchings` is the enumerating oracle).  Bottom-up over
+    the tree hung from vertex 0, each vertex keeps the generating polynomials
+    (coefficient k: matchings of size k) of its subtree's matchings with the
+    vertex free and with it matched to a child."""
+    order, parent = rooted_order(tree.adj, 0)
+    edge = QPolynomial.from_ints([0, 1])
+    free = [QPolynomial.from_ints([1])] * tree.n
+    matched = [QP_ZERO] * tree.n
+    for v in reversed(order[1:]):
+        p = parent[v]
+        below = free[v] + matched[v]
+        # the edge p-v joins a matching with p free and one with v free
+        matched[p] = matched[p] * below + edge * free[p] * free[v]
+        free[p] = free[p] * below
+    return dict(enumerate((free[0] + matched[0]).nums))
 
 
 def q_laplacian_entry(tree: LabeledTree, i: int, j: int) -> QPolynomial:

@@ -243,6 +243,82 @@ def test_cmd_air_table(capsys, p3_file):
     assert len(rows) == 2 * 4  # i in {0,1}, r in 0..3
 
 
+# a caterpillar on 7 vertices: the spine 1-2-3-4-5 with leaves 6 at 2 and 7 at 4
+T7_TEXT = "7\n1 2\n2 3\n3 4\n4 5\n2 6\n4 7\n"
+
+# sha256 of stdout for each table command view; a change to any of these
+# outputs is a change of the CLI's bytes
+TABLE_DIGESTS = {
+    "gmf --basis s --lambda 3,2,2 --format text":
+        "0420d202fccea1174defd50f9bd814d2a85e393f17b2a045576e65e5bda7450b",
+    "gmf --basis s --lambda 3,2,2 --format csv":
+        "a3348e9317836b9b5f81013d433fb450cef4c205a993f87fbc1ae4919e0186e4",
+    "gmf --basis s --lambda 3,2,2 --format json":
+        "c748d0dc2c8a7bda2a694fe6f7eb0ffdd8701f9c8178d2544ef9a4fdc5a3c018",
+    "gmf --basis s --lambda 3,2,2 --oracle":
+        "7f38b1cd42b562c8150c41ed6593b5dfc035b457f998f1802f87e8a7c89744e7",
+    "gmf --basis m --lambda 2^2,1^3 --format text":
+        "65074e5411708aa95630502ca116c740aa7294809dffc7cd4039a2d90d3b7822",
+    "gmf --basis m --lambda 2^2,1^3 --format csv":
+        "d9105432c766ac8db99fc7c1ea4bcdf357adf45f0c62a5a1f1add4225791fde4",
+    "gmf --basis m --lambda 2^2,1^3 --format json":
+        "563058d98da9792c177ebd877ef8e722364df8f537442a63fadb7b1745922b8b",
+    "gmf --basis m --lambda 2^2,1^3 --oracle":
+        "f9f691c003a43b658c5a039b17916d0d4dd0c872a165bacae1b1aba0341e38e5",
+    "air-table --format text":
+        "d3db1a7cc299908993c59154a7e538b997405ae9a94144e92635350a7d95221d",
+    "air-table --format csv":
+        "4e1d92186fb40244b5684c6e08b3e80921fe2f5bb03ee39a0bc09074dbbedbb1",
+    "air-table --format json":
+        "43f17b47a90c751383747c345b0e1c86b9e152f8a73ccafc4f3efa35db14b0b7",
+    "alpha-table --n 9 --basis s --format text":
+        "d4013f48cd4be0c8fd4e7a9d362accfe859a2ed20a034f2f16e4df31b36f0d39",
+    "alpha-table --n 9 --basis s --format csv":
+        "d3d37eb6aa478fba4787da6f9c713dfafe26ac5bc9005ae53dcda9f36c42635a",
+    "alpha-table --n 9 --basis s --format json":
+        "5202033b59c24b26ce8d86aa28cb2ce8d1fe39b0dd09e8ad2ca9526a76fef7c9",
+    "alpha-table --n 9 --basis e --format text":
+        "483661aaaa9c0338253f174880b98705397fa9794690f425a3d52dc6bb73ce0f",
+    "alpha-table --n 9 --basis e --format csv":
+        "82ba2dcd4aaf80d6bcf2797e9f0e2b17cf7e32573e33d5cc068ae78efad355dd",
+    "alpha-table --n 9 --basis e --format json":
+        "7d3c9c11938cac65432f712e49d95449b56efb0cd92fecb36b81b1c0387c1ec7",
+}
+
+
+@pytest.fixture
+def t7_file(tmp_path):
+    path = tmp_path / "t7.txt"
+    path.write_text(T7_TEXT)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", TABLE_DIGESTS)
+def test_table_command_output_digests(capsys, t7_file, command):
+    argv = command.split()
+    if argv[0] != "alpha-table":
+        argv += ["--tree", t7_file]
+    code, out = run_cli_capture(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", [
+    ["gmf", "--basis", "s", "--lambda", "3,2,2"],
+    ["air-table"],
+    ["alpha-table", "--n", "9"],
+])
+def test_table_commands_reject_an_unknown_config_format(tmp_path, capsys, t7_file, command):
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text("format=xml\n")
+    if command[0] != "alpha-table":
+        command = command + ["--tree", t7_file]
+    assert run_cli(*command, "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: format must be text, csv or json, got xml\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -391,6 +467,42 @@ def test_bad_or_missing_config_file_exits_2(tmp_path, capsys, command, p3_file):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and str(path) in captured.err, name
         assert captured.out == "", name
+
+
+def test_config_boolean_takes_only_boolean_words(tmp_path, capsys, p3_file):
+    cfg = tmp_path / "gmf.cfg"
+    gmf = ["gmf", "--tree", p3_file, "--basis", "s", "--lambda", "1,1,1", "--config", str(cfg)]
+    cfg.write_text("oracle=ture\n")
+    assert run_cli(*gmf) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(cfg) in captured.err
+    assert "oracle" in captured.err and "'ture'" in captured.err
+    assert captured.out == ""
+    for word, checked in [("1", True), ("Yes", True), ("on", True), ("TRUE", True),
+                          ("0", False), ("no", False), ("off", False), ("false", False)]:
+        cfg.write_text(f"oracle={word}\n")
+        code, out = run_cli_capture(capsys, *gmf)
+        assert code == 0, word
+        assert ("oracle: permutation sum agrees" in out) == checked, word
+
+
+@pytest.mark.parametrize("command, text", [
+    (["verify"], "n=4\nlamda=2^k,1^*\n"),
+    (["trees"], "n=4\nformat=json\n"),
+    (["gmf", "--basis", "s", "--lambda", "1,1,1"], "n=3\n"),
+    (["air-table"], "basis=m\n"),
+    (["alpha-table", "--n", "4"], "config=other.cfg\n"),
+])
+def test_config_key_without_a_flag_is_rejected(tmp_path, capsys, p3_file, command, text):
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text(text)
+    if command[0] in ("gmf", "air-table"):
+        command = command + ["--tree", p3_file]
+    assert run_cli(*command, "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    key = text.splitlines()[-1].split("=")[0]
+    assert captured.err == f"error: {cfg}: unknown key {key!r} for {command[0]}\n"
+    assert captured.out == ""
 
 
 def test_air_table_on_a_24_vertex_random_tree_within_a_second(tmp_path, capsys):

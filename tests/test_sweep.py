@@ -130,6 +130,22 @@ def test_only_a_sweep_with_a_report_rounds_its_slot_width():
     assert sweep_pairs(SweepConfig(n=7, out="r.csv"), trees, pairs).slots.width == 4
 
 
+def test_each_tree_has_one_row_list_and_every_plan_is_integer_terms():
+    # auto mode: f's vectors are checked in absolute mode, the rest signed
+    n, half = 8, 5
+    result = sweep_pairs(SweepConfig(n=n), enumerate_free_trees(n), proper_gts_pairs(n))
+    modes = {k: mode for _, _, mode, k in result.checks}
+    absolute = [k for k in sorted(modes) if modes[k] == "absolute"]
+    assert absolute and len(absolute) < len(modes)
+    assert all(len(rows) == half + len(absolute) for rows in result.rows.values())
+    for k, plan in enumerate(result.plans):
+        assert all(type(row) is int and type(a) is int and a for row, a in plan)
+        if modes[k] == "absolute":
+            assert plan == [(half + absolute.index(k), 1)]
+        else:
+            assert all(row < half for row, _ in plan)
+
+
 def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
     # the engine's a[i] rows rest on alpha(m at 2^i,1^(n-2i)) = 2^i e_i
     for n in range(2, 11):

@@ -12,7 +12,13 @@ from treegmf import (
     power_expansion,
     z_order,
 )
-from treegmf.symfunc import PowerExpansion, gamma_values, involution_class_values
+from treegmf.symfunc import (
+    PowerExpansion,
+    alpha_table,
+    alphas,
+    gamma_values,
+    involution_class_values,
+)
 
 from oracles import (
     f_inverse_value,
@@ -236,6 +242,20 @@ def test_alpha_m_support_rule_small():
             for i in range(n // 2 + 1):
                 expect = 2**i if k == i else 0
                 assert alpha(gamma, i) == expect
+
+
+def test_alphas_are_ints_for_integer_class_values():
+    # the sweep's plans and alpha-table's values rest on these being ints
+    assert alphas((1, 2, 3)) == (1, 3, 8)
+    for n in range(2, 11):
+        for basis in BASES:
+            for lam, vals in alpha_table(n, basis):
+                gamma_j = gamma_values(basis, lam)
+                assert all(type(a) is int for a in alphas(gamma_j)), (basis, lam)
+                assert vals == list(alphas(gamma_j))
+                # the power-sum route gives the same values as Fractions
+                power = alphas(involution_class_values(power_expansion(basis, lam)))
+                assert all(type(a) is Fraction for a in power) and power == tuple(vals)
 
 
 def test_alpha_range_check():

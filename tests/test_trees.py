@@ -155,6 +155,28 @@ def test_path_matchings_are_fibonacci():
             assert counts[1] == n - 1  # one matching per edge
 
 
+def test_matching_counts_equal_the_enumeration_on_every_tree_up_to_10():
+    from treegmf import matching_counts
+
+    for n in range(1, 11):
+        for t in enumerate_free_trees(n):
+            expected = {}
+            for m in matchings(t.representative):
+                expected[m.size] = expected.get(m.size, 0) + 1
+            assert matching_counts(t.representative) == expected, t.code
+
+
+def test_matching_counts_of_a_1500_vertex_path_are_binomials():
+    # the path has C(n-k, k) matchings of size k; a count that recursed once
+    # per vertex or edge would end in a RecursionError here
+    from math import comb
+
+    from treegmf import matching_counts
+
+    n = 1500
+    assert matching_counts(LabeledTree.path(n)) == {k: comb(n - k, k) for k in range(n // 2 + 1)}
+
+
 def test_q_laplacian_entries():
     p2 = LabeledTree.path(2)
     assert q_laplacian_entry(p2, 0, 0) == QPolynomial([1])
