@@ -19,7 +19,6 @@ deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -30,7 +29,11 @@ from contextlib import contextmanager, nullcontext
 # coefficients_from_profile, involution_class_values, matching_profile and
 # the two *_report_from_* checks have no caller here: perfbench/tracer.py
 # resolves them by name on this module and reports a missing name as an
-# absent trace target.
+# absent trace target.  The poset front end's proper_gts_pairs,
+# pairs_to_json_text and poset_to_dot are bound on this module at first use
+# (by _gts, which the module __getattr__ and cmd_poset call), so only poset
+# loads treegmf.gts, and a wrapper the tracer sets here is the one
+# cmd_poset calls.
 from .gmf import (  # noqa: F401
     air_monotone_report_from_tables,
     air_table,
@@ -40,13 +43,27 @@ from .gmf import (  # noqa: F401
     matching_profile,
     monotone_report_from_coeffs,
 )
-from .gts import pairs_to_json_text, poset_to_dot, proper_gts_pairs
 from .partitions import Partition
 from .qpoly import rational_to_json
 from .symfunc import BASES, alpha_table, involution_class_values, power_expansion  # noqa: F401
 from .trees import LabeledTree, enumerate_free_trees, parse_tree
 
 OUT_DIR_ENV = "TREEGMF_OUT_DIR"
+_GTS_NAMES = ("proper_gts_pairs", "pairs_to_json_text", "poset_to_dot")
+
+
+def _gts(name: str):
+    """treegmf.gts's name, bound on this module at first use; a value already
+    bound here (a tracer's wrapper, say) is kept."""
+    from . import gts
+
+    return globals().setdefault(name, getattr(gts, name))
+
+
+def __getattr__(name: str):
+    if name in _GTS_NAMES:
+        return _gts(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +175,26 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text[start:start + (1 << 16)])
 
 
-def _emit(opts: _Options, **views) -> int:
-    """Write the view of a table command that --format names (default text).
-    views maps text, csv and json to functions that build the text lines,
-    the csv rows and the json object; only the chosen one is called."""
+def _table_format(opts: _Options) -> str:
+    """The --format of a table command (default text), read before any
+    computation.  argparse checks the flag, so a bad value comes from
+    --config."""
     fmt = opts.get("format", "text")
     if fmt not in ("text", "csv", "json"):
-        print(f"error: format must be text, csv or json, got {fmt}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"format must be text, csv or json, got {fmt}")
+    return fmt
+
+
+def _emit(opts: _Options, fmt: str, **views) -> int:
+    """Write the fmt view of a table command.  views maps text, csv and json
+    to functions that build the text lines, the csv rows and the json
+    object; only the chosen one is called."""
     view = views[fmt]()
     if fmt == "text":
         text = "\n".join(view) + "\n"
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf).writerows(view)
         text = buf.getvalue()
@@ -236,15 +261,12 @@ def cmd_poset(args: argparse.Namespace) -> int:
         print("error: --n must be >= 2", file=sys.stderr)
         return 2
     fmt = "dot" if opts.get("dot", conv=bool) else opts.get("format", "json")
-    pairs = proper_gts_pairs(n)
-    if fmt == "dot":
-        text = poset_to_dot(n, pairs)
-    elif fmt == "json":
-        text = pairs_to_json_text(n, pairs)
-    else:
+    if fmt not in ("dot", "json"):
         print(f"error: poset format must be dot or json, got {fmt}", file=sys.stderr)
         return 2
-    _write_or_print(text, opts.get("out"))
+    pairs = _gts("proper_gts_pairs")(n)
+    write = _gts("poset_to_dot" if fmt == "dot" else "pairs_to_json_text")
+    _write_or_print(write(n, pairs), opts.get("out"))
     return 0
 
 
@@ -263,6 +285,7 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
     if basis not in BASES:
         print(f"error: basis must be one of {','.join(BASES)}", file=sys.stderr)
         return 2
+    fmt = _table_format(opts)
     rows = alpha_table(n, basis)
     heads = [f"i={i}" for i in range(n // 2 + 1)]
 
@@ -278,6 +301,7 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
 
     return _emit(
         opts,
+        fmt,
         text=text,
         csv=lambda: [["lambda", *heads]] + [[lam.to_exp_string(), *vals] for lam, vals in rows],
         json=lambda: {"n": n, "basis": basis, "rows": [
@@ -306,6 +330,7 @@ def cmd_gmf(args: argparse.Namespace) -> int:
     if tree_path is None or lam_text is None:
         print("error: gmf needs --tree FILE and --lambda PARTS", file=sys.stderr)
         return 2
+    fmt = _table_format(opts)
     try:
         tree = _load_tree(tree_path)
         lam = parse_partition_arg(lam_text)
@@ -335,6 +360,7 @@ def cmd_gmf(args: argparse.Namespace) -> int:
     shape = ",".join(map(str, lam.parts))
     return _emit(
         opts,
+        fmt,
         text=lambda: [
             f"tree: n={tree.n} code={code}",
             f"basis={basis} lambda={lam.to_exp_string()}",
@@ -355,6 +381,7 @@ def cmd_air_table(args: argparse.Namespace) -> int:
     if tree_path is None:
         print("error: air-table needs --tree FILE", file=sys.stderr)
         return 2
+    fmt = _table_format(opts)
     try:
         tree = _load_tree(tree_path)
     except (OSError, ValueError) as exc:
@@ -365,6 +392,7 @@ def cmd_air_table(args: argparse.Namespace) -> int:
     cells = [(i, r) for i in range(n // 2 + 1) for r in range(n + 1)]
     return _emit(
         opts,
+        fmt,
         text=lambda: [f"a[i][r] table: n={n} code={code}"]
         + [f"  i={i} r={r}: {table.at(i, r)}" for i, r in cells],
         csv=lambda: [["tree", "i", "r", "value"]]

@@ -41,13 +41,11 @@ that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
 
-from .gts import GtsPair
 from .partitions import Partition
 from .qpoly import QP_ONE, QP_ZERO, QPolynomial, SlotPacking, XQPolynomial
 from .symfunc import (
@@ -59,9 +57,11 @@ from .symfunc import (
 )
 from .trees import CanonicalTree, LabeledTree, ahu_canonical, rooted_order
 
+if TYPE_CHECKING:
+    from .gts import GtsPair
 
-@dataclass(frozen=True)
-class GmfPolynomial:
+
+class GmfPolynomial(NamedTuple):
     """A generalized matrix polynomial together with what produced it."""
 
     tree: CanonicalTree
@@ -312,8 +312,7 @@ def air_rows(tree: LabeledTree) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class AirTable:
+class AirTable(NamedTuple):
     """Table of the per-shape polynomials a[i][r] of one tree.
 
     a[i][r] is the signed coefficient c_r of the monomial-basis polynomial at
@@ -364,15 +363,13 @@ def verify_coeff_formula(tree: LabeledTree, gamma: PowerExpansion) -> bool:
 Mode = Literal["signed", "absolute"]
 
 
-@dataclass(frozen=True)
-class MonotonePerR:
+class MonotonePerR(NamedTuple):
     r: int
     difference: QPolynomial
     ok: bool
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(NamedTuple):
     """Per-coefficient monotonicity check along one proper shift pair."""
 
     lower_code: str
@@ -457,16 +454,14 @@ def verify_monotone(
     )
 
 
-@dataclass(frozen=True)
-class AirEntryReport:
+class AirEntryReport(NamedTuple):
     i: int
     r: int
     difference: QPolynomial
     ok: bool
 
 
-@dataclass(frozen=True)
-class AirMonotoneReport:
+class AirMonotoneReport(NamedTuple):
     lower_code: str
     upper_code: str
     entries: tuple[AirEntryReport, ...]

@@ -25,8 +25,8 @@ the enumerated class with that code, so no shifted `LabeledTree` is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 # ahu_canonical has no caller here: perfbench/tracer.py counts calls to it
 # under this module's name and reports a missing name as an absent target.
@@ -121,8 +121,7 @@ def proper_shifts(tree: LabeledTree) -> list[tuple[int, int, tuple[int, ...]]]:
     return out
 
 
-@dataclass(frozen=True)
-class GtsPair:
+class GtsPair(NamedTuple):
     """Ordered pair of isomorphism classes related by one proper shift.
 
     Both are enumerated classes, with their representatives.  The witness

@@ -28,7 +28,6 @@ Basis tags, in the fixed order used by tables and the CLI:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -53,7 +52,6 @@ def _frac(v: Rational) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-@dataclass(frozen=True)
 class PowerExpansion:
     """Coordinates of a degree-n symmetric function in the power-sum basis.
 
@@ -61,15 +59,23 @@ class PowerExpansion:
     Treat instances as immutable values.
     """
 
-    n: int
-    coords: dict[Partition, Fraction] = field(default_factory=dict)
+    __slots__ = ("n", "coords")
 
-    def __post_init__(self) -> None:
-        clean = {p: _frac(c) for p, c in self.coords.items() if c != 0}
+    def __init__(self, n: int, coords: Mapping[Partition, Rational] | None = None) -> None:
+        clean = {p: _frac(c) for p, c in (coords or {}).items() if c != 0}
         for p in clean:
-            if p.n != self.n:
-                raise ValueError(f"key {p!r} is not a partition of {self.n}")
-        object.__setattr__(self, "coords", clean)
+            if p.n != n:
+                raise ValueError(f"key {p!r} is not a partition of {n}")
+        self.n = n
+        self.coords = clean
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PowerExpansion):
+            return NotImplemented
+        return self.n == other.n and self.coords == other.coords
+
+    def __repr__(self) -> str:
+        return f"PowerExpansion(n={self.n!r}, coords={self.coords!r})"
 
     @classmethod
     def zero(cls, n: int) -> "PowerExpansion":
@@ -120,17 +126,26 @@ class PowerExpansion:
         }
 
 
-@dataclass(frozen=True)
 class ClassFunctionValue:
     """Value of a class function at each cycle type of degree n."""
 
-    n: int
-    values: dict[Partition, Fraction] = field(default_factory=dict)
+    __slots__ = ("n", "values")
 
-    def __post_init__(self) -> None:
-        for p in self.values:
-            if p.n != self.n:
-                raise ValueError(f"key {p!r} is not a partition of {self.n}")
+    def __init__(self, n: int, values: dict[Partition, Fraction] | None = None) -> None:
+        values = {} if values is None else values
+        for p in values:
+            if p.n != n:
+                raise ValueError(f"key {p!r} is not a partition of {n}")
+        self.n = n
+        self.values = values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassFunctionValue):
+            return NotImplemented
+        return self.n == other.n and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"ClassFunctionValue(n={self.n!r}, values={self.values!r})"
 
     def at(self, mu: Partition) -> Fraction:
         return self.values.get(mu, Fraction(0))

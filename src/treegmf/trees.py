@@ -12,9 +12,8 @@ the combinatorial Laplacian D - A.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .qpoly import QPolynomial, QP_ZERO
 
@@ -100,13 +99,28 @@ class LabeledTree:
         return f"LabeledTree(n={self.n}, edges={self.edges()!r})"
 
 
-@dataclass(frozen=True)
 class CanonicalTree:
-    """Isomorphism class of a tree: canonical code plus one representative."""
+    """Isomorphism class of a tree: canonical code plus one representative.
+    Equality and hash use the code and n only, never the representative."""
 
-    code: str
-    n: int
-    representative: LabeledTree = field(compare=False)
+    __slots__ = ("code", "n", "representative")
+
+    def __init__(self, code: str, n: int, representative: LabeledTree) -> None:
+        self.code = code
+        self.n = n
+        self.representative = representative
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CanonicalTree):
+            return NotImplemented
+        return self.code == other.code and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.code, self.n))
+
+    def __repr__(self) -> str:
+        return (f"CanonicalTree(code={self.code!r}, n={self.n!r}, "
+                f"representative={self.representative!r})")
 
 
 def rooted_order(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
@@ -273,8 +287,7 @@ def enumerate_free_trees(n: int) -> list[CanonicalTree]:
     return list(_free_trees_cached(n))
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """Set of pairwise vertex-disjoint edges of a host tree."""
 
     edges: frozenset[tuple[int, int]]

@@ -303,14 +303,32 @@ def test_table_command_output_digests(capsys, t7_file, command):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[command]
 
 
+# what each table command computes; the format is checked before any of it
+TABLE_COMPUTATIONS = {
+    "gmf": ("power_expansion", "gmf_poly_matching", "gmf_poly_bruteforce"),
+    "air-table": ("air_table",),
+    "alpha-table": ("alpha_table",),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed before --format was checked")
+
+
 @pytest.mark.parametrize("command", [
     ["gmf", "--basis", "s", "--lambda", "3,2,2"],
     ["air-table"],
     ["alpha-table", "--n", "9"],
 ])
-def test_table_commands_reject_an_unknown_config_format(tmp_path, capsys, t7_file, command):
+def test_table_commands_reject_an_unknown_config_format(
+    tmp_path, capsys, monkeypatch, t7_file, command
+):
+    import treegmf.cli
+
+    for name in TABLE_COMPUTATIONS[command[0]]:
+        monkeypatch.setattr(treegmf.cli, name, _refuse)
     cfg = tmp_path / "xml.cfg"
-    cfg.write_text("format=xml\n")
+    cfg.write_text("format=xml\noracle=1\n" if command[0] == "gmf" else "format=xml\n")
     if command[0] != "alpha-table":
         command = command + ["--tree", t7_file]
     assert run_cli(*command, "--config", str(cfg)) == 2
@@ -389,25 +407,62 @@ def test_cmd_verify_bad_lambda_pattern(capsys, pattern):
         parse_shape_pattern(pattern)
 
 
+# modules that a gmf request never runs: loading one costs every launch its
+# import, and its compilation when bytecode is not written
+NOT_ON_THE_GMF_PATH = ("dataclasses", "treegmf.gts", "treegmf.sweep", "csv",
+                       "concurrent.futures")
+
+
+def _loaded_in_a_fresh_interpreter(code: str, *argv: str) -> set[str]:
+    """Which of NOT_ON_THE_GMF_PATH are in sys.modules after code runs in a
+    new interpreter (argv are its sys.argv[1:])."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(' '.join(m for m in {NOT_ON_THE_GMF_PATH!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, treegmf.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert "concurrent.futures" not in _loaded_in_a_fresh_interpreter("import treegmf.cli")
 
 
 def test_cli_import_leaves_the_sweep_engine_unloaded():
     # gmf and the other subcommands start without compiling treegmf.sweep
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, treegmf.cli; print('treegmf.sweep' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert "treegmf.sweep" not in _loaded_in_a_fresh_interpreter("import treegmf.cli")
+
+
+def test_cli_import_and_parser_leave_every_other_commands_modules_unloaded():
+    code = "import treegmf.cli\ntreegmf.cli.build_parser()"
+    assert _loaded_in_a_fresh_interpreter(code) == set()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gmf_request_leaves_every_other_commands_modules_unloaded(t7_file, fmt):
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert treegmf.cli.main(sys.argv[1:]) == 0")
+    argv = ["gmf", "--tree", t7_file, "--basis", "m", "--lambda", "2^2,1^3",
+            "--format", fmt, "--oracle"]
+    assert _loaded_in_a_fresh_interpreter(code, *argv) == set()
+
+
+def test_poset_loads_the_poset_front_end_and_keeps_a_bound_wrapper(capsys, monkeypatch):
+    import treegmf.cli
+
+    assert "treegmf.gts" in _loaded_in_a_fresh_interpreter(
+        "import treegmf.cli\ntreegmf.cli.main(['poset', '--n', '5'])")
+    calls = []
+    pairs = treegmf.cli.proper_gts_pairs
+
+    def wrapper(n):
+        calls.append(n)
+        return pairs(n)
+
+    monkeypatch.setattr(treegmf.cli, "proper_gts_pairs", wrapper)
+    assert run_cli("poset", "--n", "5") == 0
+    assert calls == [5]
+    assert json.loads(capsys.readouterr().out)["n"] == 5
 
 
 def test_pool_size_clamps_jobs_to_processors_and_trees():
