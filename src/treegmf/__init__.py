@@ -28,7 +28,6 @@ _HOME = {
     "Partition": "partitions",
     "PowerExpansion": "symfunc",
     "Q": "qpoly",
-    "Q2": "qpoly",
     "QP_ONE": "qpoly",
     "QP_ZERO": "qpoly",
     "QPolynomial": "qpoly",

@@ -26,43 +26,48 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext
 
-# coefficients_from_profile, involution_class_values, matching_profile and
-# the two *_report_from_* checks have no caller here: perfbench/tracer.py
-# resolves them by name on this module and reports a missing name as an
-# absent trace target.  The poset front end's proper_gts_pairs,
-# pairs_to_json_text and poset_to_dot are bound on this module at first use
-# (by _gts, which the module __getattr__ and cmd_poset call), so only poset
-# loads treegmf.gts, and a wrapper the tracer sets here is the one
-# cmd_poset calls.
-from .gmf import (  # noqa: F401
-    air_monotone_report_from_tables,
-    air_table,
-    coefficients_from_profile,
-    gmf_poly_bruteforce,
-    gmf_poly_matching,
-    matching_profile,
-    monotone_report_from_coeffs,
-)
 from .partitions import Partition
 from .qpoly import rational_to_json
-from .symfunc import BASES, alpha_table, involution_class_values, power_expansion  # noqa: F401
-from .trees import LabeledTree, enumerate_free_trees, parse_tree
+from .symfunc import BASES, alpha_table
 
 OUT_DIR_ENV = "TREEGMF_OUT_DIR"
-_GTS_NAMES = ("proper_gts_pairs", "pairs_to_json_text", "poset_to_dot")
+
+# Library name -> its home module.  A name is bound here at first use, so a
+# launch loads only the modules its subcommand runs.  No command calls the
+# "traced" names: perfbench/tracer.py wraps them on this module and reports
+# a missing one as an absent trace target.
+_HOME = {
+    "enumerate_free_trees": "trees",
+    "parse_tree": "trees",
+    "proper_gts_pairs": "gts",
+    "pairs_to_json_text": "gts",
+    "poset_to_dot": "gts",
+    "power_expansion": "symfunc",
+    "involution_class_values": "symfunc",  # traced
+    "air_table": "gmf",
+    "gmf_poly_matching": "gmf",
+    "gmf_poly_bruteforce": "gmf",
+    "matching_profile": "gmf",  # traced
+    "coefficients_from_profile": "gmf",  # traced
+    "monotone_report_from_coeffs": "gmf",  # traced
+    "air_monotone_report_from_tables": "gmf",  # traced
+    "SweepConfig": "sweep",
+    "run_sweep": "sweep",
+    "write_report": "sweep",
+}
 
 
-def _gts(name: str):
-    """treegmf.gts's name, bound on this module at first use; a value already
-    bound here (a tracer's wrapper, say) is kept."""
-    from . import gts
-
-    return globals().setdefault(name, getattr(gts, name))
+def _bound(name: str):
+    """name from its home module, bound on this module unless a value (a
+    tracer's wrapper, say) is bound here already.  Unlike
+    importlib.import_module, __import__ shows in -X importtime."""
+    module = __import__(_HOME[name], globals(), level=1, fromlist=(name,))
+    return globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    if name in _GTS_NAMES:
-        return _gts(name)
+    if name in _HOME:
+        return _bound(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -71,12 +76,9 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 
 
-class ConfigError(ValueError):
-    """A missing or malformed config file, or a config value of the wrong type."""
-
-
-class OutPathError(ValueError):
-    """An --out path that cannot be opened for writing."""
+class UsageError(ValueError):
+    """Bad input: an option, a config file, a tree file or an --out path.
+    main prints it as an error line and exits 2."""
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -85,13 +87,13 @@ def load_config(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
@@ -99,13 +101,6 @@ def load_config(path: str) -> dict[str, str]:
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
-
-
-def _as_bool(v: str) -> bool:
-    try:
-        return _BOOLS[v.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {v!r}") from None
 
 
 class _Options:
@@ -119,16 +114,16 @@ class _Options:
         flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "func", "config"}
         for key in self.config:
             if key not in flags:
-                raise ConfigError(f"{self.path}: unknown key {key!r} for {args.command}")
+                raise UsageError(f"{self.path}: unknown key {key!r} for {args.command}")
 
     def get(self, key: str, default=None, conv=None):
         value = getattr(self.args, key.replace("-", "_"), None)
         if value is None and key in self.config:
             raw = self.config[key]
             try:
-                value = (conv or str)(raw) if conv is not bool else _as_bool(raw)
-            except ValueError:
-                raise ConfigError(f"{self.path}: bad value for {key}: {raw!r}") from None
+                value = _BOOLS[raw.lower()] if conv is bool else (conv or str)(raw)
+            except (KeyError, ValueError):
+                raise UsageError(f"{self.path}: bad value for {key}: {raw!r}") from None
         if value is None:
             value = default
         return value
@@ -138,11 +133,11 @@ class _Options:
 def _report_file(out: str):
     """A text stream for the --out path (relative paths resolve under
     $TREEGMF_OUT_DIR when it is set).  A new path, or a regular file of ours
-    with one link in a writable directory, is written to a temporary file
+    with one link in a writable directory, is written to a new temporary file
     that replaces it (mode kept) only after the last byte, so a failed write
     leaves it whole; a symlink, device, FIFO or other file is written in place.
-    A path that cannot be opened (a directory, a parent that cannot be made)
-    raises OutPathError before anything is yielded."""
+    A path that cannot be opened (a directory, a parent that cannot be made,
+    a temporary name already taken) raises UsageError before any write."""
     base = os.environ.get(OUT_DIR_ENV)
     path = os.path.join(base, out) if base and not os.path.isabs(out) else out
     folder = os.path.dirname(path) or "."
@@ -152,9 +147,9 @@ def _report_file(out: str):
         atomic = not st or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
                             and st.st_uid == os.geteuid() and os.access(folder, os.W_OK))
         tmp = f"{path}.{os.getpid()}.tmp" if atomic else path
-        fh = open(tmp, "w", encoding="utf-8", newline="")
+        fh = open(tmp, "x" if atomic else "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise OutPathError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
     try:
         with fh:
             if atomic and st:
@@ -181,7 +176,7 @@ def _table_format(opts: _Options) -> str:
     --config."""
     fmt = opts.get("format", "text")
     if fmt not in ("text", "csv", "json"):
-        raise ConfigError(f"format must be text, csv or json, got {fmt}")
+        raise UsageError(f"format must be text, csv or json, got {fmt}")
     return fmt
 
 
@@ -242,9 +237,8 @@ def cmd_trees(args: argparse.Namespace) -> int:
     opts = _Options(args)
     n = opts.get("n", conv=int)
     if n is None or n < 1:
-        print("error: --n must be a positive integer", file=sys.stderr)
-        return 2
-    trees = enumerate_free_trees(n)
+        raise UsageError("--n must be a positive integer")
+    trees = _bound("enumerate_free_trees")(n)
     lines = [f"{len(trees)} tree(s) on {n} vertices"]
     for idx, t in enumerate(trees, 1):
         degs = ",".join(str(d) for d in sorted(t.representative.degrees(), reverse=True))
@@ -258,14 +252,12 @@ def cmd_poset(args: argparse.Namespace) -> int:
     opts = _Options(args)
     n = opts.get("n", conv=int)
     if n is None or n < 2:
-        print("error: --n must be >= 2", file=sys.stderr)
-        return 2
+        raise UsageError("--n must be >= 2")
     fmt = "dot" if opts.get("dot", conv=bool) else opts.get("format", "json")
     if fmt not in ("dot", "json"):
-        print(f"error: poset format must be dot or json, got {fmt}", file=sys.stderr)
-        return 2
-    pairs = _gts("proper_gts_pairs")(n)
-    write = _gts("poset_to_dot" if fmt == "dot" else "pairs_to_json_text")
+        raise UsageError(f"poset format must be dot or json, got {fmt}")
+    pairs = _bound("proper_gts_pairs")(n)
+    write = _bound("poset_to_dot" if fmt == "dot" else "pairs_to_json_text")
     _write_or_print(write(n, pairs), opts.get("out"))
     return 0
 
@@ -280,11 +272,9 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
     n = opts.get("n", conv=int)
     basis = opts.get("basis", "m")
     if n is None or n < 2:
-        print("error: --n must be >= 2", file=sys.stderr)
-        return 2
+        raise UsageError("--n must be >= 2")
     if basis not in BASES:
-        print(f"error: basis must be one of {','.join(BASES)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"basis must be one of {','.join(BASES)}")
     fmt = _table_format(opts)
     rows = alpha_table(n, basis)
     heads = [f"i={i}" for i in range(n // 2 + 1)]
@@ -316,9 +306,12 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_tree(path: str) -> LabeledTree:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+def _load_tree(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _bound("parse_tree")(fh.read())
+    except (OSError, ValueError) as exc:
+        raise UsageError(exc) from None
 
 
 def cmd_gmf(args: argparse.Namespace) -> int:
@@ -328,30 +321,22 @@ def cmd_gmf(args: argparse.Namespace) -> int:
     lam_text = opts.get("lambda")
     max_brute = opts.get("max-brute", 9, conv=int)
     if tree_path is None or lam_text is None:
-        print("error: gmf needs --tree FILE and --lambda PARTS", file=sys.stderr)
-        return 2
+        raise UsageError("gmf needs --tree FILE and --lambda PARTS")
     fmt = _table_format(opts)
+    tree = _load_tree(tree_path)
+    oracle = opts.get("oracle", conv=bool)
+    if oracle and tree.n > max_brute:
+        raise UsageError(f"--oracle needs n <= {max_brute} (raise with --max-brute)")
     try:
-        tree = _load_tree(tree_path)
         lam = parse_partition_arg(lam_text)
-        if basis not in BASES:
-            raise ValueError(f"basis must be one of {','.join(BASES)}")
         if lam.n != tree.n:
             raise ValueError(f"lambda sums to {lam.n} but the tree has {tree.n} vertices")
-        gamma = power_expansion(basis, lam)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = gmf_poly_matching(tree, gamma, basis=basis, lam=lam)
-    oracle = opts.get("oracle", conv=bool)
+        gamma = _bound("power_expansion")(basis, lam)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    result = _bound("gmf_poly_matching")(tree, gamma, basis=basis, lam=lam)
     if oracle:
-        if tree.n > max_brute:
-            print(
-                f"error: --oracle needs n <= {max_brute} (raise with --max-brute)",
-                file=sys.stderr,
-            )
-            return 2
-        permutation_sum = gmf_poly_bruteforce(tree, gamma, max_brute=max_brute)
+        permutation_sum = _bound("gmf_poly_bruteforce")(tree, gamma, max_brute=max_brute)
         if permutation_sum.poly != result.poly:
             print("ORACLE MISMATCH: permutation sum disagrees with matching expansion",
                   file=sys.stderr)
@@ -379,15 +364,10 @@ def cmd_air_table(args: argparse.Namespace) -> int:
     opts = _Options(args)
     tree_path = opts.get("tree")
     if tree_path is None:
-        print("error: air-table needs --tree FILE", file=sys.stderr)
-        return 2
+        raise UsageError("air-table needs --tree FILE")
     fmt = _table_format(opts)
-    try:
-        tree = _load_tree(tree_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    table = air_table(tree)
+    tree = _load_tree(tree_path)
+    table = _bound("air_table")(tree)
     n, code = tree.n, table.tree.code
     cells = [(i, r) for i in range(n // 2 + 1) for r in range(n + 1)]
     return _emit(
@@ -408,20 +388,10 @@ def cmd_air_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_sweep(cfg):
-    """treegmf.sweep.run_sweep.  The sweep module is imported on first use,
-    so the other subcommands start without loading it."""
-    from .sweep import run_sweep as sweep
-
-    return sweep(cfg)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .sweep import SweepConfig, write_report
-
     opts = _Options(args)
     try:
-        cfg = SweepConfig(
+        cfg = _bound("SweepConfig")(
             n=opts.get("n", conv=int) or 0,
             bases=_parse_bases(opts.get("bases", ",".join(BASES))),
             lambda_filter=opts.get("lambda"),
@@ -431,14 +401,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             jobs=opts.get("jobs", 1, conv=int),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     # the report file is opened first, so an --out that cannot be written
     # fails before the sweep starts
     with nullcontext() if cfg.out is None else _report_file(cfg.out) as fh:
-        result = run_sweep(cfg)
+        result = _bound("run_sweep")(cfg)
         if fh is not None:
-            write_report(fh, cfg, result)
+            _bound("write_report")(fh, cfg, result)
     summary, ok = result.summary, result.ok
     print(
         f"verify n={cfg.n} bases={','.join(cfg.bases)} lambda={summary['lambda']} "
@@ -526,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OutPathError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

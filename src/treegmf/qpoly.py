@@ -249,7 +249,6 @@ class QPolynomial:
 QP_ZERO = QPolynomial()
 QP_ONE = QPolynomial((1,))
 Q = QPolynomial((0, 1))
-Q2 = QPolynomial((0, 0, 1))
 
 
 class XQPolynomial:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .partitions import (
     Partition,
@@ -41,15 +41,9 @@ from .partitions import (
     mn_character,
     z_order,
 )
-from .qpoly import rational_to_json
-
-Rational = Union[Fraction, int]
+from .qpoly import Rational, _frac, rational_to_json
 
 BASES = ("m", "e", "h", "p", "s", "f")
-
-
-def _frac(v: Rational) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 class PowerExpansion:

@@ -413,11 +413,12 @@ NOT_ON_THE_GMF_PATH = ("dataclasses", "treegmf.gts", "treegmf.sweep", "csv",
                        "concurrent.futures")
 
 
-def _loaded_in_a_fresh_interpreter(code: str, *argv: str) -> set[str]:
-    """Which of NOT_ON_THE_GMF_PATH are in sys.modules after code runs in a
+def _loaded_in_a_fresh_interpreter(code: str, *argv: str,
+                                   watch: tuple[str, ...] = NOT_ON_THE_GMF_PATH) -> set[str]:
+    """Which of the watched modules are in sys.modules after code runs in a
     new interpreter (argv are its sys.argv[1:])."""
     probe = (f"{code}\nimport sys\n"
-             f"print(' '.join(m for m in {NOT_ON_THE_GMF_PATH!r} if m in sys.modules))")
+             f"print(' '.join(m for m in {watch!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -445,6 +446,19 @@ def test_gmf_request_leaves_every_other_commands_modules_unloaded(t7_file, fmt):
     argv = ["gmf", "--tree", t7_file, "--basis", "m", "--lambda", "2^2,1^3",
             "--format", fmt, "--oracle"]
     assert _loaded_in_a_fresh_interpreter(code, *argv) == set()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["trees", "--n", "4"], {"treegmf.trees"}),
+    (["poset", "--n", "5"], {"treegmf.trees", "treegmf.gts"}),
+    (["alpha-table", "--n", "6", "--format", "csv"], set()),
+])
+def test_table_commands_load_only_the_library_modules_they_run(argv, loaded):
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert treegmf.cli.main(sys.argv[1:]) == 0")
+    watch = ("treegmf.gmf", "treegmf.trees", "treegmf.gts", "treegmf.sweep")
+    assert _loaded_in_a_fresh_interpreter(code, *argv, watch=watch) == loaded
 
 
 def test_poset_loads_the_poset_front_end_and_keeps_a_bound_wrapper(capsys, monkeypatch):
@@ -690,6 +704,47 @@ def test_out_paths_that_are_not_our_own_regular_files_are_written_in_place(tmp_p
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "first.txt", "link.txt", "plain.txt", "r.fifo", "second.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("earlier", [None, "earlier\n"])
+def test_out_temporary_name_already_taken_exits_2_and_writes_nothing(tmp_path, capsys, earlier):
+    # a symlink planted at the temporary name is neither followed nor moved
+    victim = tmp_path / "victim.txt"
+    victim.write_text("victim\n")
+    out = tmp_path / "out.txt"
+    if earlier is not None:
+        out.write_text(earlier)
+    tmp = tmp_path / f"out.txt.{os.getpid()}.tmp"
+    tmp.symlink_to(victim)
+    assert run_cli("trees", "--n", "3", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert victim.read_text() == "victim\n"
+    assert tmp.is_symlink() and os.readlink(tmp) == str(victim)
+    assert (out.read_text() if out.exists() else None) == earlier
+
+
+def test_gmf_unknown_config_basis_exits_2(tmp_path, capsys, p3_file):
+    cfg = tmp_path / "gmf.cfg"
+    cfg.write_text("basis=x\n")
+    assert run_cli("gmf", "--tree", p3_file, "--lambda", "1,1,1", "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'x'" in captured.err
+
+
+def test_gmf_oracle_size_guard_exits_2_before_the_expansion(capsys, monkeypatch, t7_file):
+    import treegmf.cli
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the matching expansion ran")
+
+    monkeypatch.setattr(treegmf.cli, "gmf_poly_matching", no_expansion)
+    assert run_cli("gmf", "--tree", t7_file, "--lambda", "7", "--oracle", "--max-brute", "6") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --oracle needs n <= 6 (raise with --max-brute)\n"
 
 
 def test_report_longer_than_one_write_slice_is_written_whole(tmp_path, capsys):
