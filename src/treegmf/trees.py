@@ -1,5 +1,6 @@
-"""Labeled trees, canonical forms for unlabeled trees, exhaustive free-tree
-enumeration, matchings, and q-Laplacian entries.
+"""Labeled trees, canonical forms for unlabeled trees, free-tree enumeration
+(one centre-rooted level sequence per tree, after Wright, Richmond, Odlyzko
+and McKay), matchings, and q-Laplacian entries.
 
 Vertices are 0-indexed internally; every external format (edge-list text,
 JSON, CLI output) uses 1..n.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .qpoly import QPolynomial, QP_ZERO
@@ -157,28 +159,14 @@ def rooted_code(tree: LabeledTree, root: int) -> str:
 
 def centroids(tree: LabeledTree) -> list[int]:
     """The one or two vertices minimizing the largest component left after
-    their removal."""
+    their removal: those whose components have at most n/2 vertices each."""
     n = tree.n
-    if n == 1:
-        return [0]
     order, parent = rooted_order(tree.adj, 0)
     size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best = n + 1
-    out: list[int] = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in tree.adj[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best:
-            best = heaviest
-            out = [v]
-        elif heaviest == best:
-            out.append(v)
-    return sorted(out)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return [v for v in range(n)
+            if 2 * max([n - size[v]] + [size[w] for w in tree.adj[v] if w != parent[v]]) <= n]
 
 
 def canonical_code(n: int, adj: Sequence[Sequence[int]]) -> str:
@@ -230,58 +218,90 @@ def ahu_canonical(tree: LabeledTree) -> CanonicalTree:
     return CanonicalTree(code=canonical_code(tree.n, tree.adj), n=tree.n, representative=tree)
 
 
-def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """All canonical level sequences of rooted trees on n vertices, generated
-    by the successor rule on level sequences (root level 1)."""
-    if n == 1:
-        yield [1]
+def _free_level_sequences(n: int) -> Iterator[list[int]]:
+    """One canonical level sequence (root level 0) per free tree on n vertices,
+    hung from a centre: rooted trees in Beyer-Hedetniemi order, jumping past
+    those whose first root subtree beats the rest by (height, size, levels)."""
+    if n < 3:
+        yield list(range(n))
         return
-    levels = list(range(1, n + 1))
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
-        yield levels[:]
-        p = max((i for i in range(n) if levels[i] > 2), default=None)
-        if p is None:
+        m = (levels + [1]).index(1, 2)  # the root's second child, or n
+        left, rest = [v - 1 for v in levels[1:m]], [0] + levels[m:]
+        jump = (max(left), len(left), left) > (max(rest), len(rest), rest)
+        if not jump:
+            yield levels
+        p = m - 1 if jump else max(i for i, v in enumerate(levels) if v != 1)
+        if not p:
             return
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        out = levels[:p]
-        block = levels[q:p]
-        while len(out) < n:
-            out.extend(block[: n - len(out)])
+        # the successor at p: from p on, repeat the block from p's parent q
+        q = p - 1 - levels[p - 1::-1].index(levels[p] - 1)
+        out = (levels[:q] + levels[q:p] * n)[:n]
+        if jump and levels[p] > 2:  # raise the rest to the first subtree's height
+            h = max(out[1:(out + [1]).index(1, 2)]) - 1
+            out[n - h - 1:] = range(1, h + 2)
         levels = out
 
 
 def _level_adjacency(levels: list[int]) -> list[list[int]]:
     """Adjacency lists of the tree of a level sequence: each vertex's parent
     is the last vertex before it one level up, read from the last index seen
-    per level."""
+    per level.  Each list is sorted, so a vertex's parent comes first."""
     n = len(levels)
     adj: list[list[int]] = [[] for _ in range(n)]
     last = [0] * (n + 1)
     for i in range(1, n):
-        level = levels[i]
-        p = last[level - 1]
+        p = last[levels[i] - 1]
         adj[p].append(i)
         adj[i].append(p)
-        last[level] = i
+        last[levels[i]] = i
     return adj
+
+
+def _representative_levels(levels: list[int]) -> list[int]:
+    """Levels (root 1) of the rooting with the smallest code of the tree of a
+    canonical level sequence hung from a centre.  A rooted code opens with
+    eccentricity + 1 "(", so that root is a diameter end: at the deepest
+    level top, or at top - 1 outside vertex 1's subtree if 0 and 1 are both
+    centres.  A down pass codes the subtrees, an up pass the side beyond the
+    parent of each vertex on the way to an end."""
+    n, top = len(levels), max(levels)
+    if n < 3:
+        return [v + 1 for v in levels]
+    adj = _level_adjacency(levels)
+    codes = ["()"] * n
+    for v in range(n - 1, 0, -1):  # children in canonical order: sorted codes
+        if len(adj[v]) > 1:
+            codes[v] = "(" + "".join([codes[c] for c in adj[v][1:]]) + ")"
+    m = adj[0][1]
+    low = top - (max(levels[m:]) < top)
+    up, best = [""] * n, ")"
+    for v in range(1, n):
+        p, end = adj[v][0], top if v < m else low
+        # v's subtree reaches level end: its deepest path opens its code
+        if (up[p] or not p) and codes[v].startswith("(" * (end - levels[v] + 1)):
+            side = [codes[c] if c > p else up[p] for c in adj[p] if c != v]
+            up[v] = "(" + "".join(sorted(side)) + ")"
+            if levels[v] == end:  # an end: its rooted code wraps its up code
+                best = min(best, "(" + up[v] + ")")
+    return [d for d, c in zip(accumulate(1 if c == "(" else -1 for c in best), best) if c == "("]
 
 
 @lru_cache(maxsize=None)
 def _free_trees_cached(n: int) -> tuple[CanonicalTree, ...]:
-    found: dict[str, CanonicalTree] = {}
-    for levels in _rooted_level_sequences(n):
-        adj = _level_adjacency(levels)
-        code = canonical_code(n, adj)
-        if code not in found:
-            edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-            found[code] = CanonicalTree(code, n, LabeledTree._trusted(n, edges))
-    return tuple(found[c] for c in sorted(found))
+    found = []
+    for levels in _free_level_sequences(n):
+        adj = _level_adjacency(_representative_levels(levels))
+        edges = [(a[0], v) for v, a in enumerate(adj) if v]
+        found.append(CanonicalTree(canonical_code(n, adj), n, LabeledTree._trusted(n, edges)))
+    return tuple(sorted(found, key=lambda t: t.code))
 
 
 def enumerate_free_trees(n: int) -> list[CanonicalTree]:
     """Every isomorphism class of trees on n vertices exactly once, in
-    canonical-code order.  Exhausts all rooted level sequences and dedupes by
-    centroid canonical code."""
+    canonical-code order: one per `_free_level_sequences` tree, coded once by
+    `canonical_code`, and represented by `_representative_levels`."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return list(_free_trees_cached(n))
@@ -305,28 +325,13 @@ class Matching(NamedTuple):
 
 def matchings(tree: LabeledTree) -> list[Matching]:
     """All matchings of the tree, including the empty one, sorted by size
-    then edge list."""
-    edges = tree.edges()
-    out: list[Matching] = []
-    used: set[int] = set()
-    chosen: list[tuple[int, int]] = []
-
-    def rec(idx: int) -> None:
-        if idx == len(edges):
-            out.append(Matching(frozenset(chosen)))
-            return
-        rec(idx + 1)
-        u, v = edges[idx]
-        if u not in used and v not in used:
-            used.update((u, v))
-            chosen.append((u, v))
-            rec(idx + 1)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    rec(0)
-    out.sort(key=lambda m: (m.size, m.sorted_edges()))
-    return out
+    then edge list: each edge in turn joins every matching found before it
+    that leaves both its ends free."""
+    found = [(frozenset(), frozenset())]  # (edges, the vertices they cover)
+    for u, v in tree.edges():
+        found += [(m | {(u, v)}, ends | {u, v})
+                  for m, ends in found if u not in ends and v not in ends]
+    return sorted((Matching(m) for m, _ in found), key=lambda m: (m.size, m.sorted_edges()))
 
 
 def matching_counts(tree: LabeledTree) -> dict[int, int]:
@@ -361,11 +366,6 @@ def q_laplacian_entry(tree: LabeledTree, i: int, j: int) -> QPolynomial:
 
 def q_laplacian(tree: LabeledTree) -> list[list[QPolynomial]]:
     return [[q_laplacian_entry(tree, i, j) for j in range(tree.n)] for i in range(tree.n)]
-
-
-# ---------------------------------------------------------------------------
-# external formats (1-indexed)
-# ---------------------------------------------------------------------------
 
 
 def tree_from_edge_text(text: str) -> LabeledTree:

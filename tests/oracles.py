@@ -295,6 +295,26 @@ def assembled_air_rows(tree) -> list[list[int]]:
     return rows
 
 
+def _rooted_level_sequences(n: int):
+    """All canonical level sequences of rooted trees on n vertices, generated
+    by the successor rule on level sequences (root level 1)."""
+    if n == 1:
+        yield [1]
+        return
+    levels = list(range(1, n + 1))
+    while True:
+        yield levels[:]
+        p = max((i for i in range(n) if levels[i] > 2), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        out = levels[:p]
+        block = levels[q:p]
+        while len(out) < n:
+            out.extend(block[: n - len(out)])
+        levels = out
+
+
 def scanned_tree_from_levels(levels: list[int]):
     """The tree of a rooted level sequence, each vertex's parent found by
     scanning back for the last vertex one level up."""
@@ -323,7 +343,6 @@ def scanned_free_trees(n: int) -> list:
     rooted level sequence met for each class gives its representative,
     sorted by canonical code."""
     from treegmf import CanonicalTree
-    from treegmf.trees import _rooted_level_sequences
 
     found = {}
     for levels in _rooted_level_sequences(n):

@@ -17,13 +17,13 @@ from treegmf import (
 )
 from treegmf.qpoly import QPolynomial
 from treegmf.trees import (
-    _rooted_level_sequences,
     canonical_code,
     tree_from_edge_text,
     tree_from_json_obj,
 )
 
 from oracles import (
+    _rooted_level_sequences,
     all_labeled_trees_via_prufer,
     free_tree_count,
     path_matching_count,
@@ -84,7 +84,7 @@ def test_rooted_level_sequence_counts():
 
 
 def test_free_tree_counts_frozen_and_vs_recurrence_oracle():
-    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
     for n, count in enumerate(expected, start=1):
         assert len(enumerate_free_trees(n)) == count
         assert free_tree_count(n) == count
@@ -111,17 +111,33 @@ def test_free_trees_deterministic_and_distinct():
 
 def test_free_tree_representatives_match_scanned_levels_oracle():
     # the representative labelling is printed in every poset and verify report
-    for n in range(1, 13):
+    for n in range(1, 14):
         got = enumerate_free_trees(n)
         want = scanned_free_trees(n)
         assert [t.code for t in got] == [t.code for t in want]
         assert [t.representative for t in got] == [t.representative for t in want]
 
 
+def test_enumeration_codes_each_class_once(monkeypatch):
+    # one centre-rooted level sequence per class, so one canonical_code call;
+    # the uncached function runs, so the module cache is left as it was
+    from treegmf import trees
+
+    calls = []
+    code = trees.canonical_code
+    monkeypatch.setattr(trees, "canonical_code", lambda n, adj: calls.append(n) or code(n, adj))
+    for n in range(1, 11):
+        calls.clear()
+        classes = trees._free_trees_cached.__wrapped__(n)
+        assert len(calls) == len(classes) == free_tree_count(n)
+        assert [t.code for t in classes] == [t.code for t in enumerate_free_trees(n)]
+
+
 def test_matchings_examples():
     p3 = LabeledTree.path(3)
     assert [m.sorted_edges() for m in matchings(p3)] == [[], [(0, 1)], [(1, 2)]]
-    for n in range(2, 9):
+    # 1499 edges: a walk that recursed once per edge would end in a RecursionError
+    for n in [*range(2, 9), 1500]:
         star = LabeledTree.star(n)
         ms = matchings(star)
         assert len(ms) == 1 + (n - 1)
