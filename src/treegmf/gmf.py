@@ -28,12 +28,12 @@ Two evaluators with identical contracts:
 
 The per-shape table a[i][r] is c_r of the monomial-basis polynomial at shape
 2^i,1^(n-2i), divided by 2^i.  That function is (-1)^(j-i) C(j,i) 2^i on the
-class 2^j,1^(n-2j) (brick tabloids, Egecioglu-Remmel 1991), so a[i][r] is
-sum_{j >= i} (-1)^(j-i) C(j,i) c_r(w_j) (air_rows): an integer binomial
-transform of the integer matching profile, with nothing divided.  Every entry
-lies in the non-negative q^2 cone except the top entry of row 0: a[0][n] is
-the determinant of the q-Laplacian, which equals 1 - q^2 for every tree.
-Because that entry is tree independent, all pairwise differences along
+class 2^j,1^(n-2j) (brick tabloids, Egecioglu-Remmel 1991), so a[i][r] is c_r
+of the coefficient of s^i in sum_j (s - 1)^j w_j: one DP with matched-edge
+weight (s - 1)u in place of tu (air_rows), in integers, with nothing divided.
+Every entry lies in the non-negative q^2 cone except the top entry of row 0:
+a[0][n] is the determinant of the q-Laplacian, which equals 1 - q^2 for every
+tree.  Because that entry is tree independent, all pairwise differences along
 proper shift pairs do lie in the cone; the verify_* helpers check exactly
 that.
 """
@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
 
 from .partitions import Partition
@@ -99,37 +99,30 @@ def _xadd_scaled(acc: list[QPolynomial], poly: Sequence[QPolynomial], c) -> None
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per matching size j and power k of x, the integer coefficients in
-    u = q^2 (lowest power first, trailing zeros dropped) of x^k in
+def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> list[list[int]]:
+    """The matching DP: per power j of y and power k of x (row j*(n+1)+k),
+    the integer coefficients in u = q^2, lowest first and trailing zeros
+    dropped, of x^k in the sum over matchings M of (c0 + c1 y)^|M| u^|M| *
+    prod over unmatched v of (x - 1 - u (deg v - 1)), weight = (c0, c1)
+    being the matched-edge weight in an outer variable y.
 
-        w_j = sum over matchings of size j of
-              u^j * prod over unmatched v of (x - 1 - u (deg v - 1)).
+    Bottom-up over the tree rooted at vertex 0, each vertex v keeps two
+    polynomials in (y, x, u) over its subtree: prod[v], the product of its
+    children's totals, and matched[v], the sum over children c of prod[c]
+    (c's subtree with c uncovered, before c's diagonal factor) times the
+    other children's totals.  v's total is then (x - 1 - u (deg v - 1)) *
+    prod[v] + (c0 + c1 y) u * matched[v], v unmatched or matched to a child;
+    folding in one child at a time costs O(deg v) products.
 
-    Everything the matching evaluator needs about the tree, computed once by
-    a bottom-up DP over the tree rooted at vertex 0.  For each vertex v it
-    keeps two polynomials in (t = matching size, x, u) over v's subtree:
-    prod[v], the product over v's children c of their totals, and
-    matched[v], the sum over children c of prod[c] (c's subtree with c
-    left uncovered, before c's diagonal factor) times the totals of the
-    other children.  The total of v is then
-
-        (x - 1 - u (deg v - 1)) * prod[v] + t u * matched[v],
-
-    v unmatched or matched to a child.  Folding the children in one at a
-    time costs O(deg v) products per vertex.
-
-    The polynomials are Kronecker-packed into Python ints in the signed-slot
-    format of `qpoly.SlotPacking` (t, x and u are powers of 2^W, slot width
-    W bits), so each product is one big-int multiplication, and the root's
-    packed total is decoded by `SlotPacking.rows`.  The slots are wide
-    enough for the largest coefficient the profile can have, which the
-    same DP bounds when run on absolute values at t = x = u = 1.
-    """
+    Each polynomial is Kronecker-packed into one int in the signed slots of
+    `qpoly.SlotPacking` (y, x and u are powers of 2^W), so a product is one
+    big-int multiplication, and `SlotPacking.rows` decodes the root.  The
+    slots fit the largest root coefficient, which the same DP bounds when
+    run on absolute values at y = x = u = 1."""
     n = tree.n
     adj = tree.adj
     order, parent = rooted_order(tree.adj, 0)
+    c0, c1 = weight
 
     def fold(diag, edge):
         # a vertex's entries are dropped once its parent has absorbed them
@@ -144,19 +137,28 @@ def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ..
                 prod[p] = prod.get(p, 1) * total
         return total
 
-    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda h: h)
+    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda h: (abs(c0) + abs(c1)) * h)
     m = n + 1
     slots = SlotPacking((n // 2 + 1) * m * m, bound)
     u_shift = 8 * slots.width
     x_shift = u_shift * m
-    tu_shift = x_shift * m + u_shift
+    yu_shift = x_shift * m + u_shift
     packed = fold(
         lambda v, g: (g << x_shift) - g - (len(adj[v]) - 1) * (g << u_shift),
-        lambda h: h << tu_shift,
+        lambda h: (c0 * h << u_shift) + (c1 * h << yu_shift),
     )
-    # one row of m slots per (t, x): its coefficients of u^0..u^n
-    rows = slots.rows(packed, m)
-    return tuple(tuple(map(tuple, rows[j * m:(j + 1) * m])) for j in range(n // 2 + 1))
+    return slots.rows(packed, m)
+
+
+@lru_cache(maxsize=None)
+def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per matching size j and power k of x, the integer coefficients in
+    u = q^2 (lowest first, trailing zeros dropped) of x^k in w_j, the sum
+    over matchings of size j of u^j * prod over unmatched v of
+    (x - 1 - u (deg v - 1)): the matching DP with matched-edge weight t u."""
+    m = tree.n + 1
+    rows = _matching_dp(tree, (0, 1))
+    return tuple(tuple(map(tuple, rows[k:k + m])) for k in range(0, len(rows), m))
 
 
 def coefficients_from_profile(
@@ -290,25 +292,18 @@ def air_rows(tree: LabeledTree) -> list[list[int]]:
     """The integer rows a[i] for i = 0..n//2, each flat over (r, e): entry
     r*(n+1)+e is the coefficient of u^e = q^(2e) in a[i][r].
 
-    Row i is sum_{j >= i} (-1)^(j-i) C(j,i) c_r(w_j), where c_r(w_j) is
-    (-1)^r times the profile's u-coefficients of x^(n-r) in w_j."""
-    n = tree.n
-    m = n + 1
-    ws = []
-    for rows in matching_profile(tree):
+    a[i][r] is (-1)^r times the coefficient of s^i x^(n-r) in the matching
+    DP with matched-edge weight (s - 1) u, sum_j (s - 1)^j w_j."""
+    n, m = tree.n, tree.n + 1
+    rows = _matching_dp(tree, (-1, 1))
+    out = []
+    for i in range(n // 2 + 1):
         flat = []
         for r in range(m):
-            coeffs = rows[n - r]
+            coeffs = rows[i * m + n - r]
             flat += [-c for c in coeffs] if r % 2 else coeffs
             flat += [0] * (m - len(coeffs))
-        ws.append(flat)
-    out = []
-    for i in range(len(ws)):
-        acc = ws[i]
-        for j in range(i + 1, len(ws)):
-            k = (-1) ** (j - i) * comb(j, i)
-            acc = [a + k * w for a, w in zip(acc, ws[j])]
-        out.append(acc)
+        out.append(flat)
     return out
 
 

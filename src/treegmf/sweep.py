@@ -12,9 +12,9 @@ transform of gamma's involution-class values,
     c_r(gamma) = sum_i alpha_i(gamma) * a[i][r],
 
 where a[i][r] is c_r of the monomial-basis polynomial at shape 2^i,1^(n-2i)
-divided by 2^i; by the brick-tabloid rule it is the integer binomial
-transform sum_{j >= i} (-1)^(j-i) C(j,i) c_r(w_j) of the tree's matching
-profile w_j, so an integer polynomial in u = q^2 with nothing divided.  So
+divided by 2^i; by the brick-tabloid rule one matching DP with matched-edge
+weight (s - 1)u gives all of them as integer polynomials in u = q^2, with
+nothing divided (`gmf.air_rows`).  So
 along a pair the signed difference of any check is sum_i alpha_i * Delta_i
 with Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is
 a combination of at most n/2+1 difference rows.
@@ -28,7 +28,7 @@ a combination of at most n/2+1 difference rows.
   tree.
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
   in `qpoly.SlotPacking`, the one slot format of the package (the
-  matching-profile DP packs and decodes through it too).  Packing is
+  matching DP packs and decodes through it too).  Packing is
   linear, so a pair's packed Delta_i is one subtraction of the two trees'
   packed rows.  One slot width serves the whole sweep, sized from its
   largest |a| (|Delta| is at most twice that) times its largest

@@ -347,7 +347,7 @@ def alphas(gamma_j: Sequence[Rational]) -> tuple[Rational, ...]:
     sum_{j=0..i} C(i,j) * gamma_j[j] for i = 0..len(gamma_j)-1, where
     gamma_j[j] is the inverse Frobenius image at cycle type 2^j,1^(n-2j).
     Integers for the integer values of `gamma_values`, Fractions for
-    Fraction values."""
+    Fraction values.  The package's one binomial transform."""
     return tuple(
         sum(comb(i, j) * gamma_j[j] for j in range(i + 1)) for i in range(len(gamma_j))
     )

@@ -63,6 +63,35 @@ def hook_length_dimension(parts: tuple[int, ...]) -> int:
     return dim
 
 
+def kostka_number(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Semistandard tableaux of shape lam and content mu, counted by placing
+    the entries 1, 2, ... in turn: entry j fills a horizontal strip of mu[j]
+    cells inside lam, no two in one column.  Shapes are row lengths padded
+    to len(lam)."""
+    rows = len(lam)
+
+    def strips(shape, k, r):
+        # rows r.. of the grown shape with k cells left to place; row r stays
+        # inside lam and, for one strip, no longer than row r-1 was before it
+        if r == rows:
+            if not k:
+                yield ()
+            return
+        cap = min(lam[r], shape[r - 1] if r else lam[0], shape[r] + k)
+        for new in range(shape[r], cap + 1):
+            for rest in strips(shape, k - (new - shape[r]), r + 1):
+                yield (new, *rest)
+
+    shapes = Counter({(0,) * rows: 1})
+    for k in mu:
+        grown: Counter = Counter()
+        for shape, count in shapes.items():
+            for nxt in strips(shape, k, 0):
+                grown[nxt] += count
+        shapes = grown
+    return shapes[tuple(lam)]
+
+
 @lru_cache(maxsize=None)
 def _brick_weight_sum(bricks: tuple[tuple[int, int], ...], rows: tuple[int, ...]) -> int:
     """Total weight over fillings of the given rows from the given brick

@@ -350,6 +350,17 @@ def test_air_rows_equal_the_assembled_rows_on_random_trees(n, rng):
     assert air_rows(tree) == assembled_air_rows(tree)
 
 
+@pytest.mark.parametrize("tree", [
+    LabeledTree.path(40),
+    LabeledTree.star(40),
+    LabeledTree(40, prufer_to_edges(tuple(random.Random(40).choices(range(40), k=38)))),
+], ids=["path", "star", "prufer"])
+def test_air_rows_equal_the_assembled_rows_on_40_vertex_trees(tree):
+    # past the random trees' n <= 30: the (s - 1) u edge weight doubles the
+    # DP's coefficient bound per matched edge, so its slots are widest here
+    assert air_rows(tree) == assembled_air_rows(tree)
+
+
 def test_air_table_holds_the_assembled_rows_as_q_polynomials():
     for n in range(1, 11):
         m = n + 1

@@ -14,6 +14,7 @@ from treegmf import (
     power_expansion,
     proper_gts_pairs,
 )
+from treegmf import gmf
 from treegmf.cli import main
 from treegmf.gts import GtsPair
 from treegmf.symfunc import alphas
@@ -128,6 +129,14 @@ def test_only_a_sweep_with_a_report_rounds_its_slot_width():
     trees, pairs = enumerate_free_trees(7), proper_gts_pairs(7)
     assert sweep_pairs(SweepConfig(n=7), trees, pairs).slots.width == 3
     assert sweep_pairs(SweepConfig(n=7, out="r.csv"), trees, pairs).slots.width == 4
+
+
+def test_a_serial_sweep_caches_no_matching_profile():
+    # the a-rows come straight from the matching DP, not from a per-tree
+    # profile that stays cached for the rest of the process
+    gmf.matching_profile.cache_clear()
+    sweep_pairs(SweepConfig(n=9), enumerate_free_trees(9), proper_gts_pairs(9))
+    assert gmf.matching_profile.cache_info().currsize == 0
 
 
 def test_each_tree_has_one_row_list_and_every_plan_is_integer_terms():

@@ -23,6 +23,7 @@ from treegmf.symfunc import (
 from oracles import (
     f_inverse_value,
     hook_length_dimension,
+    kostka_number,
     m_in_p_rows,
     m_inverse_value,
     p_in_m_rows,
@@ -232,6 +233,29 @@ def test_alpha_s_at_zero_is_dimension():
     for n in range(2, 7):
         for lam in enumerate_partitions(n):
             assert alpha(power_expansion("s", lam), 0) == hook_length_dimension(lam.parts)
+
+
+def test_kostka_oracle_counts_tableaux():
+    assert kostka_number((2, 2), (2, 1, 1)) == 1
+    assert kostka_number((3, 1), (2, 1, 1)) == 2
+    assert kostka_number((2, 1), (3,)) == 0
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n):
+            assert kostka_number(lam.parts, (1,) * n) == hook_length_dimension(lam.parts)
+            assert kostka_number(lam.parts, lam.parts) == 1
+
+
+def test_s_alphas_are_kostka_numbers():
+    # alpha_i(s_lam) = 2^i K_{lam, 2^i 1^(n-2i)} >= 0: the m-positivity by
+    # which passing air checks imply s's signed checks
+    assert alphas(gamma_values("s", P(2, 2))) == (2, 2, 4)
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            expect = tuple(
+                2**i * kostka_number(lam.parts, Partition.involution_shape(n, i).parts)
+                for i in range(n // 2 + 1)
+            )
+            assert alphas(gamma_values("s", lam)) == expect, lam
 
 
 def test_alpha_m_support_rule_small():
