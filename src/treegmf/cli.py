@@ -484,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda", help='shape pattern, e.g. "2^k,1^*" (default all)')
     p.add_argument("--mode", choices=["signed", "absolute", "auto"])
     p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--jobs", type=int, help="parallel workers for per-tree tables")
+    p.add_argument("--jobs", type=int,
+                   help="most parallel workers for the per-tree tables; a pool starts only "
+                        "with 256 trees per worker or more (n >= 12 on 2 workers), as a "
+                        "smaller one costs more to start than it saves")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

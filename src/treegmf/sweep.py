@@ -25,7 +25,8 @@ a combination of at most n/2+1 difference rows.
 * Per tree, a worker takes the integer rows a[i][r][e] (coefficient of u^e)
   from `gmf.air_rows` and appends, for each absolute-mode gamma vector with
   integer alphas A, the row |c_r| = |sum_i A_i a[i][r]|: one row list per
-  tree.
+  tree.  A process pool does this only at FLOOR trees per worker or more,
+  in a few chunks each; with fewer, starting it costs more than it saves.
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
   in `qpoly.SlotPacking`, the one slot format of the package (the
   matching DP packs and decodes through it too).  Packing is
@@ -60,7 +61,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gmf
 from .gts import GtsPair, proper_gts_pairs
@@ -105,33 +106,35 @@ def parse_shape_pattern(text: str | None):
     return match
 
 
-@dataclass
 class SweepConfig:
-    """Configuration of one verification sweep."""
+    """Configuration of one verification sweep, checked when it is made.
+    mode is signed, absolute or auto (absolute for f, signed otherwise)."""
 
-    n: int
-    bases: tuple[str, ...] = BASES
-    lambda_filter: str | None = None
-    mode: str = "auto"  # signed | absolute | auto (absolute for f, signed otherwise)
-    out: str | None = None
-    fmt: str = "json"
-    jobs: int = 1
+    __slots__ = ("n", "bases", "lambda_filter", "mode", "out", "fmt", "jobs")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, bases: tuple[str, ...] = BASES, lambda_filter: str | None = None,
+                 mode: str = "auto", out: str | None = None, fmt: str = "json",
+                 jobs: int = 1) -> None:
+        if n < 2:
             raise ValueError("sweep needs n >= 2")
-        if not self.bases:
+        if not bases:
             raise ValueError("sweep needs at least one basis")
-        bad = [b for b in self.bases if b not in BASES]
+        bad = [b for b in bases if b not in BASES]
         if bad:
             raise ValueError(f"unknown bases {bad}")
-        if self.mode not in ("signed", "absolute", "auto"):
-            raise ValueError(f"mode must be signed, absolute or auto, got {self.mode}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt}")
-        if self.jobs < 1:
+        if mode not in ("signed", "absolute", "auto"):
+            raise ValueError(f"mode must be signed, absolute or auto, got {mode}")
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {fmt}")
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        parse_shape_pattern(self.lambda_filter)
+        parse_shape_pattern(lambda_filter)
+        self.n, self.bases, self.lambda_filter, self.mode = n, bases, lambda_filter, mode
+        self.out, self.fmt, self.jobs = out, fmt, jobs
+
+    def replace(self, **changes) -> SweepConfig:
+        """A copy with the given fields changed, checked again."""
+        return SweepConfig(**{**{k: getattr(self, k) for k in self.__slots__}, **changes})
 
     def effective_mode(self, basis: str) -> str:
         if self.mode == "auto":
@@ -139,10 +142,15 @@ class SweepConfig:
         return self.mode
 
 
+# fewest trees per pool worker, from the crossover in BENCH_pool.json
+FLOOR = 256
+
+
 def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
-    """Worker processes for a sweep: the requested jobs, but no more than the
-    processors (cpus, from os.cpu_count(), may be None) or the tasks."""
-    return max(1, min(jobs, cpus or 1, tasks))
+    """Worker processes for a sweep (1: no pool): the requested jobs, but no
+    more than the processors this process may run on (cpus, may be None) or
+    one per FLOOR tasks, so that each worker's share pays for its start."""
+    return max(1, min(jobs, cpus or 1, tasks // FLOOR))
 
 
 def tree_rows(payload) -> list[list[int]]:
@@ -164,8 +172,7 @@ def tree_rows(payload) -> list[list[int]]:
     return rows + abs_rows
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Outcome of a sweep.  checks lists every (basis, lam, mode, vector)
     in report order, vector indexing the sums of `_differences`.  The rest
     is what `write_report` recomputes each pair's differences from: codes
@@ -221,12 +228,15 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         else:
             plans.append([(i, a) for i, a in enumerate(alpha) if a])
     payloads = [(t.representative, abs_alphas) for t in trees]
-    workers = pool_size(cfg.jobs, os.cpu_count(), len(payloads))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = pool_size(cfg.jobs, cpus, len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a few chunks per worker: one task per tree costs a round trip each
+        chunk = max(1, len(payloads) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(tree_rows, payloads, chunksize=1))
+            results = list(pool.map(tree_rows, payloads, chunksize=chunk))
     else:
         results = [tree_rows(p) for p in payloads]
 

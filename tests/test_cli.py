@@ -10,7 +10,8 @@ import pytest
 
 from treegmf import LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
 from treegmf.cli import _write_or_print, main, parse_partition_arg
-from treegmf.sweep import parse_shape_pattern, pool_size
+from treegmf import sweep
+from treegmf.sweep import FLOOR, parse_shape_pattern, pool_size
 from treegmf.partitions import Partition
 
 from oracles import prufer_to_edges
@@ -398,6 +399,38 @@ def test_cmd_verify_n6_report_digests(tmp_path, capsys, fmt, jobs):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_N6[fmt]
 
 
+# (processors this process may run on, pools started by verify --jobs 2)
+@pytest.mark.parametrize("affinity, pools", [({0}, []), ({0, 1}, [2])])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_forced_pool_writes_the_serial_report(tmp_path, capsys, monkeypatch, fmt,
+                                                affinity, pools):
+    # n=6 has 6 trees, below FLOOR, so a pool starts only with FLOOR lowered,
+    # and then only on as many processors as the affinity mask holds
+    import concurrent.futures
+
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    serial = tmp_path / f"serial.{fmt}"
+    assert run_cli("verify", "--n", "6", "--format", fmt, "--jobs", "1", "--out", str(serial)) == 0
+    serial_out = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(sweep, "FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    pooled = tmp_path / f"pooled.{fmt}"
+    assert run_cli("verify", "--n", "6", "--format", fmt, "--jobs", "2", "--out", str(pooled)) == 0
+    pooled_out = capsys.readouterr().out
+    assert started == pools
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert hashlib.sha256(pooled.read_bytes()).hexdigest() == GOLDEN_N6[fmt]
+    assert pooled_out.split("\n", 1)[1] == serial_out.split("\n", 1)[1]
+    assert "jobs=2" in pooled_out.split("\n", 1)[0]
+
+
 @pytest.mark.parametrize("pattern", ["2^x", "abc", ","])
 def test_cmd_verify_bad_lambda_pattern(capsys, pattern):
     assert run_cli("verify", "--n", "4", "--lambda", pattern) == 2
@@ -448,6 +481,16 @@ def test_gmf_request_leaves_every_other_commands_modules_unloaded(t7_file, fmt):
     assert _loaded_in_a_fresh_interpreter(code, *argv) == set()
 
 
+def test_verify_below_the_pool_floor_loads_neither_the_pool_nor_dataclasses():
+    # 11 trees at n=7: the sweep runs in this process whatever --jobs asks
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert treegmf.cli.main(sys.argv[1:]) == 0")
+    watch = ("dataclasses", "concurrent.futures")
+    assert _loaded_in_a_fresh_interpreter(
+        code, "verify", "--n", "7", "--jobs", "2", watch=watch) == set()
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (["trees", "--n", "4"], {"treegmf.trees"}),
     (["poset", "--n", "5"], {"treegmf.trees", "treegmf.gts"}),
@@ -480,11 +523,17 @@ def test_poset_loads_the_poset_front_end_and_keeps_a_bound_wrapper(capsys, monke
 
 
 def test_pool_size_clamps_jobs_to_processors_and_trees():
+    # one worker per FLOOR trees, so no pool below 2 * FLOOR
+    assert pool_size(2, 2, FLOOR - 1) == 1
+    assert pool_size(2, 2, FLOOR) == 1
+    assert pool_size(2, 2, 2 * FLOOR - 1) == 1
+    assert pool_size(2, 2, 2 * FLOOR) == 2
     assert pool_size(10**9, 2, 10**9) == 2
-    assert pool_size(10**9, 10**6, 47) == 47
-    assert pool_size(2**63, None, 10**6) == 1
-    assert pool_size(3, 8, 11) == 3
-    assert pool_size(1, 64, 100) == 1
+    assert pool_size(10**9, 10**6, 47 * FLOOR) == 47
+    assert pool_size(10**9, 10**6, 47 * FLOOR + FLOOR - 1) == 47
+    assert pool_size(2**63, None, 10**6 * FLOOR) == 1
+    assert pool_size(3, 8, 11 * FLOOR) == 3
+    assert pool_size(1, 64, 100 * FLOOR) == 1
     assert pool_size(4, 4, 0) == 1
 
 

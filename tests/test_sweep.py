@@ -1,7 +1,6 @@
 import hashlib
 import io
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +55,7 @@ def assert_matches_oracle(cfg, pairs, reports=True):
     assert [without_witness(f) for f in result.summary["failures"]] == summary["failures"]
     if reports:
         for fmt in ("json", "csv"):
-            fmt_cfg = replace(cfg, fmt=fmt)
+            fmt_cfg = cfg.replace(fmt=fmt)
             assert report_text(fmt_cfg, result) == tabled_report_text(fmt_cfg, summary, monotone, air)
     return result
 
@@ -120,7 +119,7 @@ def test_report_text_equals_the_oracle_writer(fmt):
         expected = tabled_report_text(cfg, summary, monotone, air)
         # with cfg.out set the slots are rounded to a cast width
         for out in (None, "report"):
-            out_cfg = replace(cfg, out=out)
+            out_cfg = cfg.replace(out=out)
             assert report_text(out_cfg, sweep_pairs(out_cfg, trees, pairs)) == expected
 
 
