@@ -27,7 +27,6 @@ _HOME = {
     "Matching": "trees",
     "Partition": "partitions",
     "PowerExpansion": "symfunc",
-    "Q": "qpoly",
     "QP_ONE": "qpoly",
     "QP_ZERO": "qpoly",
     "QPolynomial": "qpoly",

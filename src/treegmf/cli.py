@@ -199,24 +199,30 @@ def _emit(opts: _Options, fmt: str, **views) -> int:
     return 0
 
 
-def parse_partition_arg(text: str) -> Partition:
-    """Accept "2,1,1" or exponential "2^2,1^3"."""
-    parts: list[int] = []
+def parse_partition_arg(text: str, size: int | None = None) -> Partition:
+    """Accept "2,1,1" or exponential "2^2,1^3".  Given size, parts that sum
+    to anything else raise ValueError before any run of parts is expanded."""
+    runs: list[tuple[int, int]] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if "^" in token:
             v, m = token.split("^", 1)
-            count = int(m)
+            value, count = int(v), int(m)
             if count < 0:
                 raise ValueError(f"negative multiplicity in {token!r}")
-            parts.extend([int(v)] * count)
         else:
-            parts.append(int(token))
-    if not parts:
+            value, count = int(token), 1
+        if count and value <= 0:
+            raise ValueError(f"partition parts must be positive, got {token!r}")
+        runs.append((value, count))
+    total = sum(value * count for value, count in runs)
+    if not total:
         raise ValueError(f"empty partition {text!r}")
-    return Partition(parts)
+    if size is not None and total != size:
+        raise ValueError(f"lambda sums to {total} but the tree has {size} vertices")
+    return Partition([value for value, count in runs for _ in range(count)])
 
 
 def _parse_bases(text: str) -> tuple[str, ...]:
@@ -328,9 +334,7 @@ def cmd_gmf(args: argparse.Namespace) -> int:
     if oracle and tree.n > max_brute:
         raise UsageError(f"--oracle needs n <= {max_brute} (raise with --max-brute)")
     try:
-        lam = parse_partition_arg(lam_text)
-        if lam.n != tree.n:
-            raise ValueError(f"lambda sums to {lam.n} but the tree has {tree.n} vertices")
+        lam = parse_partition_arg(lam_text, tree.n)
         gamma = _bound("power_expansion")(basis, lam)
     except ValueError as exc:
         raise UsageError(exc) from None

@@ -18,9 +18,11 @@ degree >= 2 met on the way is a partner y, and the walk already holds the
 x-y path.  Shifts (x, y) and (y, x) give isomorphic trees, the same path
 with the off-path subtrees of both endpoints hung at opposite ends, so only
 x < y is kept and each unordered pair is shifted and canonicalised once.
-The pair generator shifts a copy of the representative's adjacency lists
-in place and codes it with `canonical_code`; the upper class of a pair is
-the enumerated class with that code, so no shifted `LabeledTree` is built.
+`_shifted` writes the one shift: a shallow copy of the representative's
+adjacency tuples in which only x, y and the moved vertices get new tuples.
+The pair generator codes that copy with `canonical_code`; the upper class
+of a pair is the enumerated class with that code, so no shifted
+`LabeledTree` is built.
 """
 
 from __future__ import annotations
@@ -69,20 +71,24 @@ def gts_shift(tree: LabeledTree, x: int, y: int) -> LabeledTree:
     """
     path = tree_path(tree, x, y)
     for v in path[1:-1]:
-        if tree.degree(v) != 2:
-            raise ValueError(
-                f"interior path vertex {v} has degree {tree.degree(v)}, shift needs 2"
-            )
-    on_path = set(path)
-    edges = []
-    for u, v in tree.edges():
-        if u == y and v not in on_path:
-            edges.append((x, v))
-        elif v == y and u not in on_path:
-            edges.append((x, u))
-        else:
-            edges.append((u, v))
-    return LabeledTree._trusted(tree.n, edges)
+        if (d := tree.degree(v)) != 2:
+            raise ValueError(f"interior path vertex {v} has degree {d}, shift needs 2")
+    return LabeledTree._trusted(_shifted(tree.adj, x, y, path[-2]))
+
+
+def _shifted(adj: tuple[tuple[int, ...], ...], x: int, y: int, stay: int) -> list[tuple[int, ...]]:
+    """The adjacency of the shift (x, y) whose path reaches y from stay: y
+    keeps only stay, and its other neighbors hang from x.  A shallow copy
+    of adj in which only the tuples of x, y and the moved vertices are new."""
+    moved = tuple([w for w in adj[y] if w != stay])
+    out = list(adj)
+    out[x] = adj[x] + moved
+    out[y] = (stay,)
+    for w in moved:
+        a = adj[w]
+        i = a.index(y)
+        out[w] = a[:i] + (x,) + a[i + 1:]
+    return out
 
 
 def shift_is_proper(tree: LabeledTree, x: int, y: int) -> bool:
@@ -148,17 +154,7 @@ def _proper_pairs_cached(n: int) -> tuple[GtsPair, ...]:
     for lower in classes:
         rep = lower.representative
         for x, y, path in proper_shifts(rep):
-            # the shifted tree as adjacency lists: y keeps only its path
-            # neighbor, and its other neighbors hang from x
-            adj = [list(a) for a in rep.adj]
-            stay = path[-2]
-            moved = [w for w in adj[y] if w != stay]
-            adj[y] = [stay]
-            adj[x] += moved
-            for w in moved:
-                nbrs = adj[w]
-                nbrs[nbrs.index(y)] = x
-            code = canonical_code(n, adj)
+            code = canonical_code(n, _shifted(rep.adj, x, y, path[-2]))
             if code == lower.code:
                 continue
             key = (lower.code, code)

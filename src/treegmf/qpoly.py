@@ -248,7 +248,6 @@ class QPolynomial:
 
 QP_ZERO = QPolynomial()
 QP_ONE = QPolynomial((1,))
-Q = QPolynomial((0, 1))
 
 
 class XQPolynomial:

@@ -16,7 +16,7 @@ type mu (ClassFunctionValue).
 Basis tags, in the fixed order used by tables and the CLI:
 
   m   monomial
-  e   elementary (products of e_k = sum over mu of sign(mu) p_mu / z_mu)
+  e   elementary, omega(h): each p_mu coordinate of h times (-1)^(n - l(mu))
   h   homogeneous (products of h_k = sum over mu of p_mu / z_mu)
   p   power sum
   s   Schur (via irreducible characters)
@@ -228,15 +228,6 @@ def _hk_expansion(k: int) -> PowerExpansion:
 
 
 @lru_cache(maxsize=None)
-def _ek_expansion(k: int) -> PowerExpansion:
-    coords = {}
-    for mu in _partition_tuples(k):
-        p = Partition(mu)
-        coords[p] = Fraction((-1) ** (k - len(p)), z_order(p))
-    return PowerExpansion(k, coords)
-
-
-@lru_cache(maxsize=None)
 def _power_expansion_cached(basis: str, parts: tuple[int, ...]) -> PowerExpansion:
     lam = Partition(parts)
     n = lam.n
@@ -247,11 +238,9 @@ def _power_expansion_cached(basis: str, parts: tuple[int, ...]) -> PowerExpansio
         for k in lam.parts:
             acc = acc * _hk_expansion(k)
         return acc
-    if basis == "e":
-        acc = PowerExpansion(0, {Partition(()): Fraction(1)})
-        for k in lam.parts:
-            acc = acc * _ek_expansion(k)
-        return acc
+    if basis == "e":  # omega(h_lam), and omega(p_mu) = (-1)^(n - l(mu)) p_mu
+        h = _power_expansion_cached("h", parts).coords
+        return PowerExpansion(n, {mu: c * (-1) ** (n - len(mu)) for mu, c in h.items()})
     if basis == "s":
         coords = {}
         for mu in enumerate_partitions(n):

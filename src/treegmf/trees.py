@@ -40,7 +40,12 @@ class LabeledTree:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-        self._link(n, edges)
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self.n = n
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
         # connectivity: n-1 distinct edges + connected <=> tree
         stack, visited = [0], {0}
         while stack:
@@ -51,21 +56,14 @@ class LabeledTree:
         if len(visited) != n:
             raise ValueError("edge set is not connected")
 
-    def _link(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        """Set n and the sorted adjacency lists of the edges."""
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
-
     @classmethod
-    def _trusted(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledTree":
-        """The tree on edges already known to form a tree on 0..n-1, such as
-        edges built from a valid tree: the checks of __init__ are skipped."""
+    def _trusted(cls, adj: Sequence[Iterable[int]]) -> "LabeledTree":
+        """The tree with the neighbour lists adj (each sorted here), already
+        known to form a tree on 0..len(adj)-1, such as an enumerated or
+        shifted tree's: the checks of __init__ are skipped."""
         tree = object.__new__(cls)
-        tree._link(n, edges)
+        tree.n = len(adj)
+        tree.adj = tuple(tuple(sorted(a)) for a in adj)
         return tree
 
     @classmethod
@@ -293,8 +291,7 @@ def _free_trees_cached(n: int) -> tuple[CanonicalTree, ...]:
     found = []
     for levels in _free_level_sequences(n):
         adj = _level_adjacency(_representative_levels(levels))
-        edges = [(a[0], v) for v, a in enumerate(adj) if v]
-        found.append(CanonicalTree(canonical_code(n, adj), n, LabeledTree._trusted(n, edges)))
+        found.append(CanonicalTree(canonical_code(n, adj), n, LabeledTree._trusted(adj)))
     return tuple(sorted(found, key=lambda t: t.code))
 
 

@@ -8,15 +8,16 @@ path matching counts via the transfer recurrence, the matching profile
 of a tree by visiting every matching, q-polynomial arithmetic on tuples
 of Fraction coefficients, canonical codes from one pass for the centroids
 and one rooted pass per centroid, free-tree enumeration with each parent
-found by scanning the level sequence, the proper-shift pairs found by
-testing every ordered vertex pair of every tree, the monotonicity sweep run
+found by scanning the level sequence, the generalized tree shift on the
+tree's edge list, the proper-shift pairs found by testing every ordered
+vertex pair of every tree, the monotonicity sweep run
 one (pair, basis, shape) check at a time on per-tree q-polynomial tables,
 the a[i][r] rows assembled from the monomial-basis polynomials and divided
 by 2^i, the poset and verify json reports written by json.dumps, integer
 determinants by fraction-free (Bareiss) elimination, the m- and f-class
 values at every cycle type by signed weighted brick-tabloid counts, the
-full monomial/power-sum transition rows, and characters by border-strip
-recursion over the parts of mu.
+full monomial/power-sum transition rows, the elementary basis as products
+of the e_k, and characters by border-strip recursion over the parts of mu.
 """
 
 from __future__ import annotations
@@ -157,6 +158,20 @@ def m_in_p_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]
 
 
 @lru_cache(maxsize=None)
+def elementary_product_expansion(parts: tuple[int, ...]):
+    """The power-sum expansion of e_lam as the product of its e_k, each
+    e_k = sum over mu of k of (-1)^(k - l(mu)) p_mu / z_mu."""
+    from treegmf import Partition, z_order
+    from treegmf.partitions import _partition_tuples
+    from treegmf.symfunc import PowerExpansion
+
+    acc = PowerExpansion(0, {Partition(()): Fraction(1)})
+    for k in parts:
+        mus = [Partition(mu) for mu in _partition_tuples(k)]
+        acc = acc * PowerExpansion(k, {mu: Fraction((-1) ** (k - len(mu)), z_order(mu)) for mu in mus})
+    return acc
+
+
 def recursive_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """chi^lam(mu) by Murnaghan-Nakayama, one recursion level per part of
     mu: remove a border strip of size mu[0] in every way, found on the
@@ -379,6 +394,29 @@ def scanned_free_trees(n: int) -> list:
         code = two_pass_canonical_code(tree)
         found.setdefault(code, CanonicalTree(code=code, n=n, representative=tree))
     return [found[c] for c in sorted(found)]
+
+
+def edge_shift(tree, x: int, y: int):
+    """The shift (x, y) of a LabeledTree on its edge list: each edge from y
+    to a vertex off the x-y path is moved to x, and the result goes through
+    the checked LabeledTree constructor.  Raises ValueError if an interior
+    path vertex has degree != 2."""
+    from treegmf import LabeledTree, tree_path
+
+    path = tree_path(tree, x, y)
+    for v in path[1:-1]:
+        if tree.degree(v) != 2:
+            raise ValueError(f"interior path vertex {v} has degree {tree.degree(v)}")
+    on_path = set(path)
+    edges = []
+    for u, v in tree.edges():
+        if u == y and v not in on_path:
+            edges.append((x, v))
+        elif v == y and u not in on_path:
+            edges.append((x, u))
+        else:
+            edges.append((u, v))
+    return LabeledTree(tree.n, edges)
 
 
 def scanned_proper_pairs(n: int) -> list[tuple]:

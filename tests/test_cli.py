@@ -207,6 +207,32 @@ def test_negative_multiplicity_is_rejected(capsys, p3_file):
     assert parse_shape_pattern("2^0,1^*")(Partition([1, 1]))
 
 
+def test_lambda_size_is_checked_before_its_parts_are_listed(p3_file):
+    # 2^1000000000 would be a list of 8 GB: the sum is read from the runs
+    import resource
+
+    limit = 512 * 2**20
+
+    def gmf(lam):
+        return subprocess.run(
+            [sys.executable, "-m", "treegmf", "gmf", "--tree", p3_file, "--lambda", lam],
+            capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    proc = gmf("2^1000000000")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: lambda sums to 2000000000 but the tree has 3 vertices\n"
+    proc = gmf("2^1,1^1")
+    assert proc.returncode == 0, proc.stderr
+    assert "basis=s lambda=2,1" in proc.stdout
+    assert parse_partition_arg("2^2,1^3", 7).parts == (2, 2, 1, 1, 1)
+    with pytest.raises(ValueError, match="sums to 7 but the tree has 6"):
+        parse_partition_arg("2^2,1^3", 6)
+    with pytest.raises(ValueError, match="positive"):
+        parse_partition_arg("-1^1000000000,1000000003", 3)
+
+
 @pytest.mark.parametrize("command", [
     ["gmf", "--basis", "m", "--lambda", "2"],
     ["air-table"],

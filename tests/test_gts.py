@@ -17,6 +17,7 @@ from treegmf.gts import pairs_to_json_text, proper_shifts
 from treegmf.trees import canonical_code
 
 from oracles import (
+    edge_shift,
     pairs_to_json_obj,
     prufer_to_edges,
     scanned_proper_pairs,
@@ -238,6 +239,17 @@ def test_shifted_trees_equal_their_checked_construction():
                     if x != y and all(tree.degree(v) == 2 for v in tree_path(tree, x, y)[1:-1]):
                         shifted = gts_shift(tree, x, y)
                         assert LabeledTree(n, shifted.edges()) == shifted
+
+
+def test_shift_equals_the_edge_list_shift():
+    # the pair generator and gts_shift share one shift; this one is separate
+    for n in range(3, 11):
+        for ct in enumerate_free_trees(n):
+            tree = ct.representative
+            for x in range(n):
+                for y in range(n):
+                    if x != y and all(tree.degree(v) == 2 for v in tree_path(tree, x, y)[1:-1]):
+                        assert gts_shift(tree, x, y) == edge_shift(tree, x, y)
 
 
 def test_canonical_code_of_every_shifted_tree_equals_the_two_pass_code():

@@ -21,6 +21,7 @@ from treegmf.symfunc import (
 )
 
 from oracles import (
+    elementary_product_expansion,
     f_inverse_value,
     hook_length_dimension,
     kostka_number,
@@ -67,6 +68,12 @@ def test_h_and_e_are_multiplicative():
     assert a.coords == power_expansion("h", P(2, 1)).coords
     b = power_expansion("e", P(2)) * power_expansion("e", P(2))
     assert b.coords == power_expansion("e", P(2, 2)).coords
+
+
+def test_e_equals_the_product_of_its_e_k():
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            assert power_expansion("e", lam) == elementary_product_expansion(lam.parts)
 
 
 def test_m_round_trip_is_identity():
