@@ -28,7 +28,7 @@ from contextlib import contextmanager, nullcontext
 
 from .partitions import Partition
 from .qpoly import rational_to_json
-from .symfunc import BASES, alpha_table
+from .symfunc import BASES, alpha_table, involution_expansion
 
 OUT_DIR_ENV = "TREEGMF_OUT_DIR"
 
@@ -335,12 +335,14 @@ def cmd_gmf(args: argparse.Namespace) -> int:
         raise UsageError(f"--oracle needs n <= {max_brute} (raise with --max-brute)")
     try:
         lam = parse_partition_arg(lam_text, tree.n)
-        gamma = _bound("power_expansion")(basis, lam)
+        gamma = involution_expansion(basis, lam)
     except ValueError as exc:
         raise UsageError(exc) from None
     result = _bound("gmf_poly_matching")(tree, gamma, basis=basis, lam=lam)
     if oracle:
-        permutation_sum = _bound("gmf_poly_bruteforce")(tree, gamma, max_brute=max_brute)
+        # over the power-sum route, so gamma's closed form is checked too
+        full = _bound("power_expansion")(basis, lam)
+        permutation_sum = _bound("gmf_poly_bruteforce")(tree, full, max_brute=max_brute)
         if permutation_sum.poly != result.poly:
             print("ORACLE MISMATCH: permutation sum disagrees with matching expansion",
                   file=sys.stderr)

@@ -39,6 +39,7 @@ from .trees import (  # noqa: F401
     ascii_sketch,
     canonical_code,
     enumerate_free_trees,
+    rooted_order,
 )
 
 
@@ -48,20 +49,11 @@ def tree_path(tree: LabeledTree, x: int, y: int) -> tuple[int, ...]:
         raise ValueError(f"path endpoint out of range: ({x},{y})")
     if x == y:
         raise ValueError("path endpoints must be distinct")
-    parent = {x: -1}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        if v == y:
-            break
-        for w in tree.adj[v]:
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    path = [y]
-    while path[-1] != x:
+    parent = rooted_order(tree.adj, y)[1]
+    path = [x]
+    while path[-1] != y:
         path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return tuple(path)
 
 
 def gts_shift(tree: LabeledTree, x: int, y: int) -> LabeledTree:

@@ -159,8 +159,8 @@ def tree_rows(payload) -> list[list[int]]:
     of u^e = q^(2e) in a[i][r], followed for each integer alpha vector A by
     the row |sum_i A_i a[i]|."""
     tree, abs_alphas = payload
-    # looked up on the module at call time, so wrappers installed on
-    # treegmf.gmf (perfbench/tracer.py) also see calls from pool workers
+    # looked up on the module at call time, so that a future wrapper on
+    # gmf.air_rows (ROADMAP item 3) would see pool workers' calls too
     rows = gmf.air_rows(tree)
     abs_rows = []
     for coeffs in abs_alphas:

@@ -5,7 +5,8 @@ A generalized matrix polynomial of a tree q-Laplacian depends on gamma only
 through Gamma(j), its inverse Frobenius image at the involution classes
 2^j,1^(n-2j), j = 0..n/2: the permutations that survive are matchings.
 `gamma_values` gives these n/2+1 integers in closed form per basis, and the
-sweep and `alpha_table` read them there.
+sweep, `alpha_table` and the `gmf` command (through `involution_expansion`)
+read them there.
 
 The general route is exact over Q and kept as the oracle and for whole class
 functions: a symmetric function of degree n is represented by its
@@ -324,6 +325,15 @@ def gamma_values(basis: str, lam: Partition) -> tuple[int, ...]:
     if basis == "s":
         return involution_characters(lam)
     raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
+
+
+def involution_expansion(basis: str, lam: Partition) -> PowerExpansion:
+    """power_expansion(basis, lam) restricted to the involution shapes
+    2^j,1^(n-2j): the coordinates Gamma(j)/z_mu of `gamma_values`.  All that
+    a tree's generalized matrix polynomial reads of gamma."""
+    shapes = [Partition.involution_shape(lam.n, j) for j in range(lam.n // 2 + 1)]
+    values = gamma_values(basis, lam)
+    return PowerExpansion(lam.n, {mu: Fraction(g, z_order(mu)) for mu, g in zip(shapes, values)})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from treegmf import LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
+from treegmf import BASES, LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
 from treegmf.cli import _write_or_print, main, parse_partition_arg
 from treegmf import sweep
 from treegmf.sweep import FLOOR, parse_shape_pattern, pool_size
@@ -332,7 +332,8 @@ def test_table_command_output_digests(capsys, t7_file, command):
 
 # what each table command computes; the format is checked before any of it
 TABLE_COMPUTATIONS = {
-    "gmf": ("power_expansion", "gmf_poly_matching", "gmf_poly_bruteforce"),
+    "gmf": ("power_expansion", "involution_expansion", "gmf_poly_matching",
+            "gmf_poly_bruteforce"),
     "air-table": ("air_table",),
     "alpha-table": ("alpha_table",),
 }
@@ -820,6 +821,54 @@ def test_gmf_oracle_size_guard_exits_2_before_the_expansion(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --oracle needs n <= 6 (raise with --max-brute)\n"
+
+
+def test_gmf_runs_the_power_sum_route_only_for_the_oracle(capsys, monkeypatch, t7_file):
+    import treegmf.cli
+
+    expand = treegmf.cli.power_expansion
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("gamma was expanded in power sums")
+
+    monkeypatch.setattr(treegmf.cli, "power_expansion", no_expansion)
+    for basis in BASES:
+        for fmt in ("text", "csv", "json"):
+            argv = ("gmf", "--tree", t7_file, "--basis", basis, "--lambda", "2^2,1^3",
+                    "--format", fmt)
+            assert run_cli(*argv) == 0
+    capsys.readouterr()
+    calls = []
+
+    def spy(basis, lam):
+        calls.append((basis, lam.parts))
+        return expand(basis, lam)
+
+    monkeypatch.setattr(treegmf.cli, "power_expansion", spy)
+    for basis in BASES:
+        code, out = run_cli_capture(
+            capsys, "gmf", "--tree", t7_file, "--basis", basis, "--lambda", "2^2,1^3", "--oracle"
+        )
+        assert code == 0
+        assert out.endswith("oracle: permutation sum agrees\n")
+    assert calls == [(basis, (2, 2, 1, 1, 1)) for basis in BASES]
+
+
+def test_gmf_m_on_a_24_vertex_path_is_fast(tmp_path, capsys):
+    # a full power-sum expansion of m_{2^6,1^12} inverts a 1575-row triangular
+    # system, about 24 s; the closed-form class values take milliseconds
+    path = tmp_path / "p24.txt"
+    path.write_text(tree_to_edge_text(LabeledTree.path(24)))
+    start = time.perf_counter()
+    code, out = run_cli_capture(
+        capsys, "gmf", "--tree", str(path), "--basis", "m", "--lambda", "2^6,1^12"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f141aa48aa5e4c6def412ca4b42c77a7961613f6cb5f9dc6424fdde44011b42a"
+    )
+    assert elapsed < 2, elapsed
 
 
 def test_report_longer_than_one_write_slice_is_written_whole(tmp_path, capsys):

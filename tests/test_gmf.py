@@ -31,7 +31,7 @@ from treegmf.gmf import (
     monotone_report_from_coeffs,
 )
 from treegmf.qpoly import QP_ZERO, QPolynomial, SlotPacking, XQPolynomial
-from treegmf.symfunc import PowerExpansion, involution_class_values
+from treegmf.symfunc import PowerExpansion, involution_class_values, involution_expansion
 
 from oracles import (
     FractionQPolynomial,
@@ -255,6 +255,21 @@ def test_matching_equals_bruteforce_all_bases_small():
                         gmf_poly_matching(tree, gamma).poly
                         == gmf_poly_bruteforce(tree, gamma).poly
                     ), (n, basis, lam.parts)
+
+
+def test_involution_expansion_gives_the_power_sum_routes_polynomial():
+    # the gmf command reads gamma through involution_expansion, whose class
+    # values are the closed forms of gamma_values
+    for n in range(1, 9):
+        lams = enumerate_partitions(n)
+        for t in enumerate_free_trees(n):
+            tree = t.representative
+            for basis in BASES:
+                for lam in lams:
+                    assert (
+                        gmf_poly_matching(tree, involution_expansion(basis, lam))
+                        == gmf_poly_matching(tree, power_expansion(basis, lam))
+                    ), (n, t.code, basis, lam.parts)
 
 
 def test_matching_equals_bruteforce_random_gammas():
