@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import importlib
 
-# every public name, in __all__ order -> the module that defines it
+BASES = ("m", "e", "h", "p", "s", "f")  # here, so that the CLI parser loads no symfunc
+
+# every public name, in __all__ order -> the module that provides it
 _HOME = {
     "BASES": "symfunc",
     "AirTable": "gmf",

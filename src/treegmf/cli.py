@@ -25,10 +25,9 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
+from typing import Iterable
 
-from .partitions import Partition
-from .qpoly import rational_to_json
-from .symfunc import BASES, alpha_table, involution_expansion
+from . import BASES
 
 OUT_DIR_ENV = "TREEGMF_OUT_DIR"
 
@@ -39,10 +38,14 @@ OUT_DIR_ENV = "TREEGMF_OUT_DIR"
 _HOME = {
     "enumerate_free_trees": "trees",
     "parse_tree": "trees",
+    "Partition": "partitions",
+    "rational_to_json": "qpoly",
     "proper_gts_pairs": "gts",
     "pairs_to_json_text": "gts",
     "poset_to_dot": "gts",
     "power_expansion": "symfunc",
+    "alpha_table": "symfunc",
+    "involution_expansion": "symfunc",
     "involution_class_values": "symfunc",  # traced
     "air_table": "gmf",
     "gmf_poly_matching": "gmf",
@@ -162,12 +165,13 @@ def _report_file(out: str):
             os.remove(tmp)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    """Write text in 64 KiB slices, so that encoding never copies a large
-    report whole."""
+def _write_or_print(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each of its pieces in turn, in 64 KiB slices, so that
+    encoding never copies a large report whole."""
     with nullcontext(sys.stdout) if out is None else _report_file(out) as fh:
-        for start in range(0, len(text), 1 << 16):
-            fh.write(text[start:start + (1 << 16)])
+        for piece in (text,) if isinstance(text, str) else text:
+            for start in range(0, len(piece), 1 << 16):
+                fh.write(piece[start:start + (1 << 16)])
 
 
 def _table_format(opts: _Options) -> str:
@@ -199,9 +203,9 @@ def _emit(opts: _Options, fmt: str, **views) -> int:
     return 0
 
 
-def parse_partition_arg(text: str, size: int | None = None) -> Partition:
-    """Accept "2,1,1" or exponential "2^2,1^3".  Given size, parts that sum
-    to anything else raise ValueError before any run of parts is expanded."""
+def parse_partition_arg(text: str, size: int | None = None):
+    """The Partition of "2,1,1" or exponential "2^2,1^3".  Given size, parts
+    that sum to anything else raise ValueError before any run is expanded."""
     runs: list[tuple[int, int]] = []
     for token in text.split(","):
         token = token.strip()
@@ -222,7 +226,7 @@ def parse_partition_arg(text: str, size: int | None = None) -> Partition:
         raise ValueError(f"empty partition {text!r}")
     if size is not None and total != size:
         raise ValueError(f"lambda sums to {total} but the tree has {size} vertices")
-    return Partition([value for value, count in runs for _ in range(count)])
+    return _bound("Partition")([value for value, count in runs for _ in range(count)])
 
 
 def _parse_bases(text: str) -> tuple[str, ...]:
@@ -282,7 +286,7 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
     if basis not in BASES:
         raise UsageError(f"basis must be one of {','.join(BASES)}")
     fmt = _table_format(opts)
-    rows = alpha_table(n, basis)
+    rows, to_json = _bound("alpha_table")(n, basis), _bound("rational_to_json")
     heads = [f"i={i}" for i in range(n // 2 + 1)]
 
     def text() -> list[str]:
@@ -301,7 +305,7 @@ def cmd_alpha_table(args: argparse.Namespace) -> int:
         text=text,
         csv=lambda: [["lambda", *heads]] + [[lam.to_exp_string(), *vals] for lam, vals in rows],
         json=lambda: {"n": n, "basis": basis, "rows": [
-            {"lambda": list(lam.parts), "values": [rational_to_json(v) for v in vals]}
+            {"lambda": list(lam.parts), "values": [to_json(v) for v in vals]}
             for lam, vals in rows
         ]},
     )
@@ -335,7 +339,7 @@ def cmd_gmf(args: argparse.Namespace) -> int:
         raise UsageError(f"--oracle needs n <= {max_brute} (raise with --max-brute)")
     try:
         lam = parse_partition_arg(lam_text, tree.n)
-        gamma = involution_expansion(basis, lam)
+        gamma = _bound("involution_expansion")(basis, lam)
     except ValueError as exc:
         raise UsageError(exc) from None
     result = _bound("gmf_poly_matching")(tree, gamma, basis=basis, lam=lam)

@@ -4,10 +4,11 @@ classes of trees.
 A shift is admissible for an ordered vertex pair (x, y) when every interior
 vertex of the unique x-y path has degree exactly 2.  Applying it moves every
 neighbor of y that is off the path over to x.  The shift is *proper* when
-both x and y have at least one off-path neighbor; a proper shift strictly
-increases the number of leaves, so the relation it generates on isomorphism
-classes is acyclic, with the path as the unique source and the star as the
-unique sink (Csikvari, "On a poset of trees", Combinatorica 2010).
+both x and y have at least one off-path neighbor; then y becomes a leaf, x
+gets degree >= 3 and no other degree changes, so a proper shift adds
+exactly one leaf.  The relation it generates on isomorphism classes is
+acyclic, with the path as the unique source and the star as the unique sink
+(Csikvari, "On a poset of trees", Combinatorica 2010).
 
 An endpoint has exactly one neighbor on the path, so (x, y) is proper exactly
 when deg x >= 2, deg y >= 2 and every interior path vertex has degree 2.
@@ -17,18 +18,17 @@ neighbor, forward while the current vertex has degree 2; every vertex of
 degree >= 2 met on the way is a partner y, and the walk already holds the
 x-y path.  Shifts (x, y) and (y, x) give isomorphic trees, the same path
 with the off-path subtrees of both endpoints hung at opposite ends, so only
-x < y is kept and each unordered pair is shifted and canonicalised once.
-`_shifted` writes the one shift: a shallow copy of the representative's
-adjacency tuples in which only x, y and the moved vertices get new tuples.
-The pair generator codes that copy with `canonical_code`; the upper class
-of a pair is the enumerated class with that code, so no shifted
-`LabeledTree` is built.
+x < y is kept.  The pair generator walks the classes from most leaves to
+fewest and finds each shift's upper class, among those with one leaf more,
+by its rooted (Aho-Hopcroft-Ullman) code at x: the off-path subtree codes
+of x and y and the bare path left behind, sorted and wrapped once.  One
+rerooting pass per class gives those codes, so no shifted tree is built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 # ahu_canonical has no caller here: perfbench/tracer.py counts calls to it
 # under this module's name and reports a missing name as an absent target.
@@ -37,7 +37,6 @@ from .trees import (  # noqa: F401
     LabeledTree,
     ahu_canonical,
     ascii_sketch,
-    canonical_code,
     enumerate_free_trees,
     rooted_order,
 )
@@ -69,9 +68,9 @@ def gts_shift(tree: LabeledTree, x: int, y: int) -> LabeledTree:
 
 
 def _shifted(adj: tuple[tuple[int, ...], ...], x: int, y: int, stay: int) -> list[tuple[int, ...]]:
-    """The adjacency of the shift (x, y) whose path reaches y from stay: y
-    keeps only stay, and its other neighbors hang from x.  A shallow copy
-    of adj in which only the tuples of x, y and the moved vertices are new."""
+    """The adjacency `gts_shift` builds for (x, y) when the path reaches y
+    from stay: y keeps only stay, and its other neighbors hang from x, in a
+    shallow copy of adj where only x's, y's and the moved tuples are new."""
     moved = tuple([w for w in adj[y] if w != stay])
     out = list(adj)
     out[x] = adj[x] + moved
@@ -138,22 +137,58 @@ class GtsPair(NamedTuple):
         return self.lower.representative
 
 
+def _near_codes(adj: tuple[tuple[int, ...], ...]) -> tuple[list[list[str]], list[str]]:
+    """near[v][k], for vertex 0 and each v of degree >= 2: the rooted code of
+    the side of the edge v-adj[v][k] away from v; and the tree's rooted codes
+    at its vertices of degree >= 3.  A pass up from the leaves codes the
+    subtrees hung from vertex 0, and a pass down each parent's side beyond a
+    child: the parent's sorted codes without the child's."""
+    order, parent = rooted_order(adj, 0)
+    down, up, near, rooted = ["()"] * len(adj), [""] * len(adj), [[]] * len(adj), []
+    for v in reversed(order[1:]):
+        if len(adj[v]) > 1:
+            down[v] = "(" + "".join(sorted([down[w] for w in adj[v] if w != parent[v]])) + ")"
+    for v in order:
+        a, p = adj[v], parent[v]
+        if len(a) > 1 or p < 0:
+            near[v] = [up[v] if w == p else down[w] for w in a]
+            codes = sorted(near[v])
+            if len(a) > 2:
+                rooted.append("(" + "".join(codes) + ")")
+            for w in a:
+                if w != p and len(adj[w]) > 1:
+                    i = codes.index(down[w])
+                    up[w] = "(" + "".join(codes[:i] + codes[i + 1:]) + ")"
+    return near, rooted
+
+
+def _upper_classes(n: int) -> Iterator[tuple[CanonicalTree, int, int, tuple, CanonicalTree]]:
+    """(lower, x, y, path, upper) for each proper shift (x, y) of each class's
+    representative, the classes from most leaves to fewest and each one's
+    shifts in (x, y) order.  upper is the class whose rooted code at x is
+    the shifted tree's, looked up among the classes with one leaf more than
+    lower only, so a shift that lands anywhere else raises KeyError."""
+    chains = ["(" * k + ")" * k for k in range(n)]
+    above, index, leaves = {}, {}, n  # rooted code -> class, at leaves + 1 and leaves
+    for lower in sorted(enumerate_free_trees(n), key=lambda t: -t.representative.degrees().count(1)):
+        rep = lower.representative
+        if (count := rep.degrees().count(1)) < leaves:
+            above, index, leaves = index, {}, count
+        near, rooted = _near_codes(rep.adj)
+        for x, y, path in proper_shifts(rep):
+            i, j = rep.adj[x].index(path[1]), rep.adj[y].index(path[-2])
+            kids = near[x][:i] + near[x][i + 1:] + near[y][:j] + near[y][j + 1:]
+            kids.append(chains[len(path) - 1])
+            yield lower, x, y, path, above["(" + "".join(sorted(kids)) + ")"]
+        index.update(dict.fromkeys(rooted, lower))
+
+
 @lru_cache(maxsize=None)
 def _proper_pairs_cached(n: int) -> tuple[GtsPair, ...]:
-    classes = enumerate_free_trees(n)
-    by_code = {t.code: t for t in classes}
     pairs: dict[tuple[str, str], GtsPair] = {}
-    for lower in classes:
-        rep = lower.representative
-        for x, y, path in proper_shifts(rep):
-            code = canonical_code(n, _shifted(rep.adj, x, y, path[-2]))
-            if code == lower.code:
-                continue
-            key = (lower.code, code)
-            if key not in pairs:
-                pairs[key] = GtsPair(
-                    lower=lower, upper=by_code[code], witness_x=x, witness_y=y, witness_path=path
-                )
+    for lower, x, y, path, upper in _upper_classes(n):
+        if (lower.code, upper.code) not in pairs:
+            pairs[lower.code, upper.code] = GtsPair(lower, upper, x, y, path)
     return tuple(pairs[k] for k in sorted(pairs))
 
 
@@ -190,31 +225,29 @@ _JSON_PAIR_END = """
     }"""
 
 
-def pairs_to_json_text(n: int, pairs: list[GtsPair]) -> str:
-    """The poset JSON report: the bytes json.dumps(obj, indent=2) + "\\n"
-    writes for {"n", "pairs": [{"lower", "upper", "witness": {"x", "y",
-    "path", "tree": {"n", "edges"}}}]}, 1-based, written directly with one
-    format per pair; each lower tree's edge list is formatted once and
-    shared by its pairs.  Codes hold only parentheses, so nothing is
-    escaped."""
-    if not pairs:
-        return '{\n  "n": %d,\n  "pairs": []\n}\n' % n
-    edges_text: dict[str, str] = {}
+def pairs_to_json_text(n: int, pairs: list[GtsPair]) -> Iterator[str]:
+    """The poset JSON report, in pieces of 1024 pairs: the bytes
+    json.dumps(obj, indent=2) + "\n" writes for {"n", "pairs": [{"lower",
+    "upper", "witness": {"x", "y", "path", "tree": {"n", "edges"}}}]},
+    1-based, written directly with one format per pair; a lower tree's edge
+    list is formatted once for its run of pairs.  Codes hold only
+    parentheses, so nothing is escaped."""
+    lower, edges = None, ""
     parts = ['{\n  "n": %d,\n  "pairs": [' % n]
     sep = "\n"
-    for p in pairs:
-        lower = p.lower.code
-        edges = edges_text.get(lower)
-        if edges is None:
-            edges = edges_text[lower] = ",\n".join(
-                _JSON_EDGE % (u + 1, v + 1) for u, v in p.lower.representative.edges()
-            )
+    for k, p in enumerate(pairs, 1):
+        if p.lower.code != lower:
+            lower = p.lower.code
+            edges = ",\n".join(_JSON_EDGE % (u + 1, v + 1) for u, v in p.lower.representative.edges())
         path = ",\n".join("          %d" % (v + 1) for v in p.witness_path)
         head = _JSON_PAIR % (lower, p.upper.code, p.witness_x + 1, p.witness_y + 1, path, n)
         parts += (sep, head, edges, _JSON_PAIR_END)
         sep = ",\n"
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+        if k % 1024 == 0:
+            yield "".join(parts)
+            parts = []
+    parts.append("\n  ]\n}\n" if pairs else "]\n}\n")
+    yield "".join(parts)
 
 
 def poset_to_dot(n: int, pairs: list[GtsPair]) -> str:

@@ -42,9 +42,8 @@ from .partitions import (
     mn_character,
     z_order,
 )
+from . import BASES
 from .qpoly import Rational, _frac, rational_to_json
-
-BASES = ("m", "e", "h", "p", "s", "f")
 
 
 class PowerExpansion:

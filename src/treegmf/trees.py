@@ -17,8 +17,6 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .qpoly import QPolynomial, QP_ZERO
-
 
 class LabeledTree:
     """Tree on vertex set {0..n-1}, validated at construction."""
@@ -337,6 +335,8 @@ def matching_counts(tree: LabeledTree) -> dict[int, int]:
     the tree hung from vertex 0, each vertex keeps the generating polynomials
     (coefficient k: matchings of size k) of its subtree's matchings with the
     vertex free and with it matched to a child."""
+    from .qpoly import QP_ZERO, QPolynomial
+
     order, parent = rooted_order(tree.adj, 0)
     edge = QPolynomial.from_ints([0, 1])
     free = [QPolynomial.from_ints([1])] * tree.n
@@ -352,6 +352,8 @@ def matching_counts(tree: LabeledTree) -> dict[int, int]:
 
 def q_laplacian_entry(tree: LabeledTree, i: int, j: int) -> QPolynomial:
     """Entry (i, j) of I + q^2 (D - I) - q A."""
+    from .qpoly import QP_ZERO, QPolynomial
+
     if not (0 <= i < tree.n and 0 <= j < tree.n):
         raise ValueError(f"vertex out of range: ({i},{j})")
     if i == j:

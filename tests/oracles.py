@@ -439,6 +439,26 @@ def scanned_proper_pairs(n: int) -> list[tuple]:
     return [key + pairs[key] for key in sorted(pairs)]
 
 
+def coded_proper_pairs(n: int) -> list[tuple]:
+    """(lower code, upper code, witness x, witness y, witness path) of every
+    proper-shift pair on n vertices, found the long way: each proper shift
+    of each representative, in (x, y) order, is written out with
+    `gts._shifted` and coded whole by `canonical_code`, and the first
+    witness per pair is kept, sorted by the two codes."""
+    from treegmf import enumerate_free_trees
+    from treegmf.gts import _shifted, proper_shifts
+    from treegmf.trees import canonical_code
+
+    pairs = {}
+    for lower in enumerate_free_trees(n):
+        rep = lower.representative
+        for x, y, path in proper_shifts(rep):
+            code = canonical_code(n, _shifted(rep.adj, x, y, path[-2]))
+            if code != lower.code:
+                pairs.setdefault((lower.code, code), (x, y, path))
+    return [key + pairs[key] for key in sorted(pairs)]
+
+
 def pairs_to_json_obj(n: int, pairs) -> dict:
     """The poset json report as an object, for json.dumps(obj, indent=2)."""
     return {

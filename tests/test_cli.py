@@ -493,6 +493,21 @@ def test_cli_import_leaves_the_sweep_engine_unloaded():
     assert "treegmf.sweep" not in _loaded_in_a_fresh_interpreter("import treegmf.cli")
 
 
+# the symmetric-function modules, which only gamma-reading commands run
+SYMMETRIC_FUNCTION_MODULES = ("treegmf.partitions", "treegmf.qpoly", "treegmf.symfunc",
+                              "fractions", "decimal")
+
+
+@pytest.mark.parametrize("argv", [[], ["trees", "--n", "9"], ["poset", "--n", "9"]])
+def test_parser_trees_and_poset_leave_the_symmetric_function_modules_unloaded(argv):
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "parser = treegmf.cli.build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert not sys.argv[1:] or treegmf.cli.main(sys.argv[1:]) == 0")
+    assert _loaded_in_a_fresh_interpreter(
+        code, *argv, watch=SYMMETRIC_FUNCTION_MODULES) == set()
+
+
 def test_cli_import_and_parser_leave_every_other_commands_modules_unloaded():
     code = "import treegmf.cli\ntreegmf.cli.build_parser()"
     assert _loaded_in_a_fresh_interpreter(code) == set()

@@ -13,10 +13,11 @@ from treegmf import (
 
 import json
 
-from treegmf.gts import pairs_to_json_text, proper_shifts
+from treegmf.gts import _shifted, _upper_classes, pairs_to_json_text, proper_shifts
 from treegmf.trees import canonical_code
 
 from oracles import (
+    coded_proper_pairs,
     edge_shift,
     pairs_to_json_obj,
     prufer_to_edges,
@@ -215,6 +216,39 @@ def test_proper_pairs_match_ordered_scan_oracle():
         assert got == scanned_proper_pairs(n)
 
 
+def test_proper_pairs_equal_the_shift_and_code_oracle():
+    for n in range(2, 14):
+        got = [
+            (p.lower.code, p.upper.code, p.witness_x, p.witness_y, p.witness_path)
+            for p in proper_gts_pairs(n)
+        ]
+        assert got == coded_proper_pairs(n), n
+
+
+def test_each_upper_class_lookup_equals_the_shifted_trees_code():
+    for n in range(2, 12):
+        looked_up = {}
+        for lower, x, y, path, upper in _upper_classes(n):
+            shifted = _shifted(lower.representative.adj, x, y, path[-2])
+            assert upper.code == canonical_code(n, shifted), (lower.code, x, y)
+            looked_up.setdefault(lower.code, []).append((x, y, path))
+        for ct in enumerate_free_trees(n):
+            assert looked_up.get(ct.code, []) == proper_shifts(ct.representative)
+
+
+def test_every_proper_shift_adds_exactly_one_leaf():
+    # the pair generator looks each upper class up among the classes with
+    # one leaf more than the lower one
+    def leaves(adj):
+        return sum(len(a) == 1 for a in adj)
+
+    for n in range(2, 13):
+        for ct in enumerate_free_trees(n):
+            adj = ct.representative.adj
+            for x, y, path in proper_shifts(ct.representative):
+                assert leaves(_shifted(adj, x, y, path[-2])) == leaves(adj) + 1, (ct.code, x, y)
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=4, max_value=14), st.randoms(use_true_random=False))
 def test_chain_walk_finds_every_proper_shift_once(n, rng):
@@ -274,5 +308,5 @@ def test_poset_json_text_equals_json_dumps():
     for n in range(2, 13):
         pairs = proper_gts_pairs(n)
         want = json.dumps(pairs_to_json_obj(n, pairs), indent=2) + "\n"
-        assert pairs_to_json_text(n, pairs) == want
-    assert pairs_to_json_text(2, proper_gts_pairs(2)) == '{\n  "n": 2,\n  "pairs": []\n}\n'
+        assert "".join(pairs_to_json_text(n, pairs)) == want
+    assert "".join(pairs_to_json_text(2, proper_gts_pairs(2))) == '{\n  "n": 2,\n  "pairs": []\n}\n'
