@@ -22,7 +22,8 @@ Two evaluators with identical contracts:
         Gamma(|M|) * q^(2|M|) * prod over unmatched v of (x - 1 - q^2 (deg v - 1))
 
   The sum is evaluated by a bottom-up DP over the rooted tree
-  (matching_profile) in polynomial time, in integer arithmetic in u = q^2.
+  (matching_profile, through the integer kernel's `kernel._matching_dp`)
+  in polynomial time, in integer arithmetic in u = q^2.
   Visiting every matching, and the n! permutation sum, remain as test
   oracles.
 
@@ -30,7 +31,8 @@ The per-shape table a[i][r] is c_r of the monomial-basis polynomial at shape
 2^i,1^(n-2i), divided by 2^i.  That function is (-1)^(j-i) C(j,i) 2^i on the
 class 2^j,1^(n-2j) (brick tabloids, Egecioglu-Remmel 1991), so a[i][r] is c_r
 of the coefficient of s^i in sum_j (s - 1)^j w_j: one DP with matched-edge
-weight (s - 1)u in place of tu (air_rows), in integers, with nothing divided.
+weight (s - 1)u in place of tu (`kernel.air_rows`, imported here), in
+integers, with nothing divided.
 Every entry lies in the non-negative q^2 cone except the top entry of row 0:
 a[0][n] is the determinant of the q-Laplacian, which equals 1 - q^2 for every
 tree.  Because that entry is tree independent, all pairwise differences along
@@ -46,16 +48,11 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
 
+from .kernel import _matching_dp, air_rows, alphas
 from .partitions import Partition
-from .qpoly import QP_ONE, QP_ZERO, QPolynomial, SlotPacking, XQPolynomial
-from .symfunc import (
-    ClassFunctionValue,
-    PowerExpansion,
-    alphas,
-    inverse_frobenius,
-    involution_class_values,
-)
-from .trees import CanonicalTree, LabeledTree, ahu_canonical, rooted_order
+from .qpoly import QP_ONE, QP_ZERO, QPolynomial, XQPolynomial
+from .symfunc import ClassFunctionValue, PowerExpansion, inverse_frobenius, involution_class_values
+from .trees import CanonicalTree, LabeledTree, ahu_canonical
 
 if TYPE_CHECKING:
     from .gts import GtsPair
@@ -97,57 +94,6 @@ def _xadd_scaled(acc: list[QPolynomial], poly: Sequence[QPolynomial], c) -> None
 # ---------------------------------------------------------------------------
 # matching-expansion evaluator
 # ---------------------------------------------------------------------------
-
-
-def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> list[list[int]]:
-    """The matching DP: per power j of y and power k of x (row j*(n+1)+k),
-    the integer coefficients in u = q^2, lowest first and trailing zeros
-    dropped, of x^k in the sum over matchings M of (c0 + c1 y)^|M| u^|M| *
-    prod over unmatched v of (x - 1 - u (deg v - 1)), weight = (c0, c1)
-    being the matched-edge weight in an outer variable y.
-
-    Bottom-up over the tree rooted at vertex 0, each vertex v keeps two
-    polynomials in (y, x, u) over its subtree: prod[v], the product of its
-    children's totals, and matched[v], the sum over children c of prod[c]
-    (c's subtree with c uncovered, before c's diagonal factor) times the
-    other children's totals.  v's total is then (x - 1 - u (deg v - 1)) *
-    prod[v] + (c0 + c1 y) u * matched[v], v unmatched or matched to a child;
-    folding in one child at a time costs O(deg v) products.
-
-    Each polynomial is Kronecker-packed into one int in the signed slots of
-    `qpoly.SlotPacking` (y, x and u are powers of 2^W), so a product is one
-    big-int multiplication, and `SlotPacking.rows` decodes the root.  The
-    slots fit the largest root coefficient, which the same DP bounds when
-    run on absolute values at y = x = u = 1."""
-    n = tree.n
-    adj = tree.adj
-    order, parent = rooted_order(tree.adj, 0)
-    c0, c1 = weight
-
-    def fold(diag, edge):
-        # a vertex's entries are dropped once its parent has absorbed them
-        prod: dict[int, int] = {}
-        matched: dict[int, int] = {}
-        for v in reversed(order):
-            g = prod.pop(v, 1)
-            total = diag(v, g) + edge(matched.pop(v, 0))
-            p = parent[v]
-            if p >= 0:
-                matched[p] = matched.get(p, 0) * total + prod.get(p, 1) * g
-                prod[p] = prod.get(p, 1) * total
-        return total
-
-    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda h: (abs(c0) + abs(c1)) * h)
-    m = n + 1
-    slots = SlotPacking((n // 2 + 1) * m * m, bound)
-    u_shift = 8 * slots.width
-    x_shift = u_shift * m
-    yu_shift = x_shift * m + u_shift
-    packed = fold(
-        lambda v, g: (g << x_shift) - g - (len(adj[v]) - 1) * (g << u_shift),
-        lambda h: (c0 * h << u_shift) + (c1 * h << yu_shift),
-    )
-    return slots.rows(packed, m)
 
 
 @lru_cache(maxsize=None)
@@ -286,25 +232,6 @@ def gmf_poly_bruteforce(
 # ---------------------------------------------------------------------------
 # the a[i][r] table
 # ---------------------------------------------------------------------------
-
-
-def air_rows(tree: LabeledTree) -> list[list[int]]:
-    """The integer rows a[i] for i = 0..n//2, each flat over (r, e): entry
-    r*(n+1)+e is the coefficient of u^e = q^(2e) in a[i][r].
-
-    a[i][r] is (-1)^r times the coefficient of s^i x^(n-r) in the matching
-    DP with matched-edge weight (s - 1) u, sum_j (s - 1)^j w_j."""
-    n, m = tree.n, tree.n + 1
-    rows = _matching_dp(tree, (-1, 1))
-    out = []
-    for i in range(n // 2 + 1):
-        flat = []
-        for r in range(m):
-            coeffs = rows[i * m + n - r]
-            flat += [-c for c in coeffs] if r % 2 else coeffs
-            flat += [0] * (m - len(coeffs))
-        out.append(flat)
-    return out
 
 
 class AirTable(NamedTuple):

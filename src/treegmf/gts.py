@@ -28,6 +28,7 @@ rerooting pass per class gives those codes, so no shifted tree is built.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 # ahu_canonical has no caller here: perfbench/tracer.py counts calls to it
@@ -250,15 +251,18 @@ def pairs_to_json_text(n: int, pairs: list[GtsPair]) -> Iterator[str]:
     yield "".join(parts)
 
 
-def poset_to_dot(n: int, pairs: list[GtsPair]) -> str:
-    """DOT digraph of the proper-shift relation; node labels carry the
-    canonical code and a small sketch."""
-    trees = enumerate_free_trees(n)
-    lines = [f"digraph shift_poset_{n} {{", "  rankdir=BT;", "  node [shape=box, fontname=monospace];"]
-    for t in trees:
-        sketch = ascii_sketch(t.representative).replace("\n", "\\l")
-        lines.append(f'  "{t.code}" [label="{t.code}\\l{sketch}\\l"];')
-    for p in pairs:
-        lines.append(f'  "{p.lower.code}" -> "{p.upper.code}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def poset_to_dot(n: int, pairs: list[GtsPair]) -> Iterator[str]:
+    """DOT digraph of the proper-shift relation, in pieces of 1024 lines like
+    `pairs_to_json_text`; node labels carry the canonical code and a small
+    sketch."""
+    nodes = (
+        '  "%s" [label="%s\\l%s\\l"];\n'
+        % (t.code, t.code, ascii_sketch(t.representative).replace("\n", "\\l"))
+        for t in enumerate_free_trees(n)
+    )
+    edges = ('  "%s" -> "%s";\n' % (p.lower.code, p.upper.code) for p in pairs)
+    lines = chain(nodes, edges)
+    yield f"digraph shift_poset_{n} {{\n  rankdir=BT;\n  node [shape=box, fontname=monospace];\n"
+    while piece := "".join(islice(lines, 1024)):
+        yield piece
+    yield "}\n"

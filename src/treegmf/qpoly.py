@@ -10,18 +10,17 @@ XQPolynomial stacks n+1 QPolynomial coefficients c_0..c_n of a degree-n
 polynomial in a second variable x, stored under the alternating-sign
 convention: the raw coefficient of x^(n-r) equals (-1)^r * c_r.
 
-SlotPacking is the one signed-slot format for Kronecker substitution
-(Harvey, J. Symb. Comp. 2009): the matching-profile DP (gmf) multiplies
-polynomials packed with its slot width, and the sweep packs, subtracts,
-cone-tests and decodes the a[i][r] rows with it.
+SlotPacking, the one signed-slot format, lives in the integer kernel
+(`kernel`) and is re-exported here.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
+
+from .kernel import SlotPacking  # noqa: F401
 
 Rational = Union[Fraction, int]
 
@@ -296,57 +295,3 @@ class XQPolynomial:
 
     def __repr__(self) -> str:
         return f"XQPolynomial(n={self.n}, signed={[str(c) for c in self.signed]})"
-
-
-# memoryview.cast codes that read a slot of 1, 2, 4 or 8 bytes as one
-# signed int; slots are written little-endian
-_CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-
-
-class SlotPacking:
-    """`count` signed integers packed into one int, slot k holding value v_k
-    as v_k * 2^(k W).  W is the fewest whole bytes that fit every
-    |v| <= bound with its sign: 2^(W-1) > bound.  With castable, W up to 8
-    is rounded up to 1, 2, 4 or 8, so that `rows` decodes every slot with
-    one C-level cast; wider packed ints make every sum and cone test cost
-    more, so only a sweep that writes a report asks for it."""
-
-    def __init__(self, count: int, bound: int, castable: bool = False) -> None:
-        self.count = count
-        need = bound.bit_length() // 8 + 1
-        if castable:
-            need = next((w for w in (1, 2, 4, 8) if w >= need), need)
-        self.width = need  # bytes per slot
-        self.half = 1 << (8 * self.width - 1)
-        # only the top bit of every slot set
-        self.bias = int.from_bytes((bytes(self.width - 1) + b"\x80") * count, "little")
-        self._cast = _CASTS.get(self.width)
-
-    def pack(self, values: list[int]) -> int:
-        w, half = self.width, self.half
-        data = b"".join((v + half).to_bytes(w, "little") for v in values)
-        return int.from_bytes(data, "little") - self.bias
-
-    def rows(self, packed: int, m: int) -> list[list[int]]:
-        """The slot values in rows of m slots, each cut after its last
-        nonzero value.  Adding the bias shifts each slot into [0, 2^W)
-        without carries; flipping each slot's top bit then leaves v mod 2^W,
-        the slot's two's complement bytes."""
-        w = self.width
-        data = ((packed + self.bias) ^ self.bias).to_bytes(w * self.count, "little")
-        if self._cast:
-            values = memoryview(data).cast(self._cast).tolist()
-        else:
-            values = [int.from_bytes(data[k:k + w], "little", signed=True)
-                      for k in range(0, len(data), w)]
-        # a row's trailing zero slots are its trailing zero bytes
-        return [
-            values[k:k + (len(data[k * w:(k + m) * w].rstrip(b"\0")) + w - 1) // w]
-            for k in range(0, self.count, m)
-        ]
-
-    def nonnegative(self, packed: int) -> bool:
-        """Every slot >= 0.  Adding the bias shifts each slot into
-        [0, 2^W) without carries, and the slot's top bit is then set
-        exactly when its value is >= 0."""
-        return (packed + self.bias) & self.bias == self.bias

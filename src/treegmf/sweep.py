@@ -14,21 +14,21 @@ transform of gamma's involution-class values,
 where a[i][r] is c_r of the monomial-basis polynomial at shape 2^i,1^(n-2i)
 divided by 2^i; by the brick-tabloid rule one matching DP with matched-edge
 weight (s - 1)u gives all of them as integer polynomials in u = q^2, with
-nothing divided (`gmf.air_rows`).  So
+nothing divided (`kernel.air_rows`).  So
 along a pair the signed difference of any check is sum_i alpha_i * Delta_i
 with Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is
 a combination of at most n/2+1 difference rows.
 
 * Each (basis, lam) gets its gamma vector, the integers Gamma(0..n/2), from
-  `symfunc.gamma_values` in closed form, with no power-sum expansion; equal
+  `kernel.gamma_values` in closed form, with no power-sum expansion; equal
   (vector, mode) keys are checked once.
 * Per tree, a worker takes the integer rows a[i][r][e] (coefficient of u^e)
-  from `gmf.air_rows` and appends, for each absolute-mode gamma vector with
+  from `kernel.air_rows` and appends, for each absolute-mode gamma vector with
   integer alphas A, the row |c_r| = |sum_i A_i a[i][r]|: one row list per
   tree.  A process pool does this only at FLOOR trees per worker or more,
   in a few chunks each; with fewer, starting it costs more than it saves.
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
-  in `qpoly.SlotPacking`, the one slot format of the package (the
+  in `kernel.SlotPacking`, the one slot format of the package (the
   matching DP packs and decodes through it too).  Packing is
   linear, so a pair's packed Delta_i is one subtraction of the two trees'
   packed rows.  One slot width serves the whole sweep, sized from its
@@ -57,17 +57,15 @@ a combination of at most n/2+1 difference rows.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 from typing import NamedTuple
 
-from . import gmf
+from . import BASES, kernel
 from .gts import GtsPair, proper_gts_pairs
+from .kernel import SlotPacking, alphas
 from .partitions import Partition, enumerate_partitions
-from .qpoly import SlotPacking
-from .symfunc import BASES, alphas, gamma_values
 from .trees import CanonicalTree, enumerate_free_trees
 
 
@@ -154,14 +152,14 @@ def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
 
 
 def tree_rows(payload) -> list[list[int]]:
-    """Per-tree worker.  Returns the integer rows a[i] of `gmf.air_rows` for
+    """Per-tree worker.  Returns the integer rows a[i] of `kernel.air_rows` for
     i = 0..n/2, each flat over (r, e) with entry r*(n+1)+e the coefficient
     of u^e = q^(2e) in a[i][r], followed for each integer alpha vector A by
     the row |sum_i A_i a[i]|."""
     tree, abs_alphas = payload
     # looked up on the module at call time, so that a future wrapper on
-    # gmf.air_rows (ROADMAP item 3) would see pool workers' calls too
-    rows = gmf.air_rows(tree)
+    # kernel.air_rows (ROADMAP item 3) would see pool workers' calls too
+    rows = kernel.air_rows(tree)
     abs_rows = []
     for coeffs in abs_alphas:
         acc = [0] * len(rows[0])
@@ -214,7 +212,8 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     for basis in cfg.bases:
         mode = cfg.effective_mode(basis)
         for lam in lambdas:
-            key = (gamma_values(basis, lam), mode)
+            # on the module at call time, as kernel.air_rows is
+            key = (kernel.gamma_values(basis, lam), mode)
             checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
     # per vector its plan: the nonzero (i, A_i) of its integer alphas
     # (signed), or its |c_r| row, placed after the a[i] rows (absolute)
@@ -293,12 +292,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full monotonicity sweep over every free tree and proper shift
     pair on cfg.n vertices."""
     return sweep_pairs(cfg, enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n))
-
-
-def _csv_cells(*fields) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(fields)
-    return buf.getvalue()
 
 
 # json.dumps(indent=2) layout of the verify report's repeated parts: a
@@ -434,19 +427,26 @@ def _write_json(fh, cfg, result, monotone_blocks, air_block) -> None:
 
 
 def _write_csv(fh, cfg, result, monotone_blocks, air_block) -> None:
+    import csv
+
+    def csv_cells(*fields) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(fields)
+        return buf.getvalue()
+
     heads = [
-        _csv_cells(basis, ",".join(map(str, lam.parts)), mode)
+        csv_cells(basis, ",".join(map(str, lam.parts)), mode)
         for basis, lam, mode, _ in result.checks
     ]
-    fh.write(_csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
-                        "difference", "pass") + "\r\n")
+    fh.write(csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
+                       "difference", "pass") + "\r\n")
     for lo, up in result.codes:
         # row = prefix (check, pair, basis, lambda, mode, empty i) + tail (r on)
         tails = [
             [f"{r},{text},{_CSV_PASS[ok]}\r\n" for r, (text, ok) in enumerate(blk)]
             for blk in monotone_blocks(lo, up)
         ]
-        pair = _csv_cells(lo, up)
+        pair = csv_cells(lo, up)
         parts = []
         for head, (_, _, _, k) in zip(heads, result.checks):
             prefix = f"monotone,{pair},{head},,"
@@ -454,7 +454,7 @@ def _write_csv(fh, cfg, result, monotone_blocks, air_block) -> None:
         fh.write("".join(parts))
     m = cfg.n + 1
     for lo, up in result.codes:
-        prefix = f"air,{_csv_cells(lo, up)},,,,"
+        prefix = f"air,{csv_cells(lo, up)},,,,"
         fh.write("".join(
             f"{prefix}{k // m},{k % m},{text},{_CSV_PASS[ok]}\r\n"
             for k, (text, ok) in enumerate(air_block(lo, up))

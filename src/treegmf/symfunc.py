@@ -6,7 +6,8 @@ through Gamma(j), its inverse Frobenius image at the involution classes
 2^j,1^(n-2j), j = 0..n/2: the permutations that survive are matchings.
 `gamma_values` gives these n/2+1 integers in closed form per basis, and the
 sweep, `alpha_table` and the `gmf` command (through `involution_expansion`)
-read them there.
+read them there; it lives in the integer kernel (`kernel`), with the
+binomial transform `alphas`, and both are imported here.
 
 The general route is exact over Q and kept as the oracle and for whole class
 functions: a symmetric function of degree n is represented by its
@@ -31,18 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .partitions import (
-    Partition,
-    _partition_tuples,
-    enumerate_partitions,
-    involution_characters,
-    mn_character,
-    z_order,
-)
 from . import BASES
+from .kernel import alphas, gamma_values
+from .partitions import Partition, _partition_tuples, enumerate_partitions, mn_character, z_order
 from .qpoly import Rational, _frac, rational_to_json
 
 
@@ -282,48 +276,8 @@ def involution_class_values(gamma: PowerExpansion) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gamma at the involution classes, in closed form
+# Gamma at the involution classes, from its closed form
 # ---------------------------------------------------------------------------
-
-
-def gamma_values(basis: str, lam: Partition) -> tuple[int, ...]:
-    """Gamma(j) for j = 0..floor(n/2): the inverse Frobenius image of the
-    basis element indexed by lam at cycle type 2^j,1^(n-2j).  Equal to
-    involution_class_values(power_expansion(basis, lam)), without expanding.
-
-    m, f: brick tabloids (Egecioglu-Remmel) with bricks of length 1 and 2,
-    so zero unless lam = 2^a,1^(n-2a), and then (-1)^(j-a) C(j,a) 2^a, times
-    (-1)^(n-l(lam)) = (-1)^a for f.  h: the permutation character of the
-    Young subgroup S_lam, i.e. the colourings of the cycles using colour i
-    lam_i times: j!(n-2j)! times [y^j] of the product over parts k of
-    sum_t y^t / (t!(k-2t)!).  e: (-1)^j times h.  p: z_lam at the one j with
-    lam = 2^j,1^(n-2j).  s: Murnaghan-Nakayama with 2-strips, then the
-    1-strips counted by the hook-length formula.
-    """
-    n, half = lam.n, lam.n // 2
-    a = lam.transpositions_if_involution_shape()
-    if basis in ("m", "f"):
-        if a is None:
-            return (0,) * (half + 1)
-        shift = 0 if basis == "f" else a
-        return tuple((-1) ** (j + shift) * comb(j, a) << a for j in range(half + 1))
-    if basis == "p":
-        return tuple(z_order(lam) if j == a else 0 for j in range(half + 1))
-    if basis in ("h", "e"):
-        # integer factors k!/(t!(k-2t)!), truncated at y^half; the k! are
-        # divided out at the end
-        poly, den = [1] + [0] * half, 1
-        for k in lam.parts:
-            f = [factorial(k) // (factorial(t) * factorial(k - 2 * t)) for t in range(k // 2 + 1)]
-            poly = [sum(c * poly[u - t] for t, c in enumerate(f[: u + 1])) for u in range(half + 1)]
-            den *= factorial(k)
-        sign = -1 if basis == "e" else 1
-        return tuple(
-            sign**j * factorial(j) * factorial(n - 2 * j) * poly[j] // den for j in range(half + 1)
-        )
-    if basis == "s":
-        return involution_characters(lam)
-    raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
 
 
 def involution_expansion(basis: str, lam: Partition) -> PowerExpansion:
@@ -338,17 +292,6 @@ def involution_expansion(basis: str, lam: Partition) -> PowerExpansion:
 # ---------------------------------------------------------------------------
 # binomial transform over involution classes
 # ---------------------------------------------------------------------------
-
-
-def alphas(gamma_j: Sequence[Rational]) -> tuple[Rational, ...]:
-    """Binomial transform of involution-class values: alpha_i =
-    sum_{j=0..i} C(i,j) * gamma_j[j] for i = 0..len(gamma_j)-1, where
-    gamma_j[j] is the inverse Frobenius image at cycle type 2^j,1^(n-2j).
-    Integers for the integer values of `gamma_values`, Fractions for
-    Fraction values.  The package's one binomial transform."""
-    return tuple(
-        sum(comb(i, j) * gamma_j[j] for j in range(i + 1)) for i in range(len(gamma_j))
-    )
 
 
 def alpha(gamma: PowerExpansion, i: int) -> Fraction:

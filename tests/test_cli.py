@@ -533,6 +533,24 @@ def test_verify_below_the_pool_floor_loads_neither_the_pool_nor_dataclasses():
         code, "verify", "--n", "7", "--jobs", "2", watch=watch) == set()
 
 
+def test_verify_runs_on_the_integer_kernel_alone():
+    # neither the evaluators nor the power-sum route, and no csv without a
+    # csv report; the kernel's names are the same objects at their old homes
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert treegmf.cli.main(sys.argv[1:]) == 0")
+    watch = ("treegmf.gmf", "treegmf.symfunc", "treegmf.qpoly", "fractions", "decimal", "csv")
+    assert _loaded_in_a_fresh_interpreter(
+        code, "verify", "--n", "7", "--jobs", "2", watch=watch) == set()
+    from treegmf import gmf, kernel, qpoly, sweep, symfunc
+
+    assert qpoly.SlotPacking is sweep.SlotPacking is kernel.SlotPacking
+    assert gmf._matching_dp is kernel._matching_dp
+    assert gmf.air_rows is kernel.air_rows
+    assert symfunc.gamma_values is kernel.gamma_values
+    assert symfunc.alphas is gmf.alphas is sweep.alphas is kernel.alphas
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (["trees", "--n", "4"], {"treegmf.trees"}),
     (["poset", "--n", "5"], {"treegmf.trees", "treegmf.gts"}),
