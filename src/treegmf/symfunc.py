@@ -276,7 +276,7 @@ def involution_class_values(gamma: PowerExpansion) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gamma at the involution classes, from its closed form
+# Gamma at the involution classes, in closed form
 # ---------------------------------------------------------------------------
 
 
