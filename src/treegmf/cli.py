@@ -38,7 +38,7 @@ OUT_DIR_ENV = "TREEGMF_OUT_DIR"
 _HOME = {
     "enumerate_free_trees": "trees",
     "parse_tree": "trees",
-    "Partition": "partitions",
+    "parse_partition_arg": "partitions",
     "rational_to_json": "qpoly",
     "proper_gts_pairs": "gts",
     "pairs_to_json_text": "gts",
@@ -203,32 +203,6 @@ def _emit(opts: _Options, fmt: str, **views) -> int:
     return 0
 
 
-def parse_partition_arg(text: str, size: int | None = None):
-    """The Partition of "2,1,1" or exponential "2^2,1^3".  Given size, parts
-    that sum to anything else raise ValueError before any run is expanded."""
-    runs: list[tuple[int, int]] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "^" in token:
-            v, m = token.split("^", 1)
-            value, count = int(v), int(m)
-            if count < 0:
-                raise ValueError(f"negative multiplicity in {token!r}")
-        else:
-            value, count = int(token), 1
-        if count and value <= 0:
-            raise ValueError(f"partition parts must be positive, got {token!r}")
-        runs.append((value, count))
-    total = sum(value * count for value, count in runs)
-    if not total:
-        raise ValueError(f"empty partition {text!r}")
-    if size is not None and total != size:
-        raise ValueError(f"lambda sums to {total} but the tree has {size} vertices")
-    return _bound("Partition")([value for value, count in runs for _ in range(count)])
-
-
 def _parse_bases(text: str) -> tuple[str, ...]:
     bases = tuple(b.strip() for b in text.split(",") if b.strip())
     bad = [b for b in bases if b not in BASES]
@@ -338,7 +312,7 @@ def cmd_gmf(args: argparse.Namespace) -> int:
     if oracle and tree.n > max_brute:
         raise UsageError(f"--oracle needs n <= {max_brute} (raise with --max-brute)")
     try:
-        lam = parse_partition_arg(lam_text, tree.n)
+        lam = _bound("parse_partition_arg")(lam_text, tree.n)
         gamma = _bound("involution_expansion")(basis, lam)
     except ValueError as exc:
         raise UsageError(exc) from None

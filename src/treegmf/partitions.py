@@ -1,8 +1,14 @@
-"""Integer partitions, centralizer orders, and symmetric-group characters.
+"""Integer partitions and their notation, centralizer orders, and
+symmetric-group characters.
 
 Partitions are stored weakly decreasing.  The global enumeration order used
 everywhere (tables, JSON output, transition matrices) is reverse
 lexicographic: (n) first, (1,...,1) last.
+
+`parse_partition_arg` (gmf --lambda) and `parse_shape_pattern` (verify
+--lambda) read one notation, the inverse of `Partition.to_exp_string`: comma
+tokens "V" or "V^E" with V > 0, the tokens of one value adding up, and in a
+pattern also "V^k" or "V^*" for any multiplicity.
 """
 
 from __future__ import annotations
@@ -62,9 +68,6 @@ class Partition:
             out[p] = out.get(p, 0) + 1
         return out
 
-    def multiplicity(self, v: int) -> int:
-        return self.parts.count(v)
-
     def transpositions_if_involution_shape(self) -> int | None:
         """If the shape is 2^j,1^(n-2j), return j; otherwise None."""
         if any(p > 2 for p in self.parts):
@@ -75,11 +78,66 @@ class Partition:
         """Exponential notation, e.g. "2^3,1^4" (exponent omitted when 1)."""
         if not self.parts:
             return "()"
-        items = []
-        for v in sorted(set(self.parts), reverse=True):
-            m = self.multiplicity(v)
-            items.append(f"{v}^{m}" if m > 1 else f"{v}")
-        return ",".join(items)
+        form = self.exponential_form()  # part values in decreasing order
+        return ",".join(f"{v}^{m}" if m > 1 else f"{v}" for v, m in form.items())
+
+
+def _exp_counts(text: str, fixed_only: bool = False) -> tuple[dict[int, int], set[int]]:
+    """Read exponential notation: comma tokens "V", "V^E" and, unless
+    fixed_only, "V^k" or "V^*".  Returns each fixed value's multiplicity,
+    summed over the tokens of that value, and the set of values of the
+    "V^k"/"V^*" tokens.  An empty token, a value <= 0, a negative E or any
+    other form raises ValueError."""
+    fixed: dict[int, int] = {}
+    free: set[int] = set()
+    for token in text.split(","):
+        token = token.strip()
+        v_s, caret, m_s = token.partition("^")
+        any_m = caret and m_s in ("k", "*")
+        if any_m and fixed_only:
+            raise ValueError(f"a partition needs a fixed multiplicity, got {token!r}")
+        try:
+            v, m = int(v_s), int(m_s) if caret and not any_m else 1
+            if v <= 0 or m < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"bad lambda token {token!r}: V must be a positive integer "
+                             f"and E in V^E an integer >= 0") from None
+        if any_m:
+            free.add(v)
+        else:
+            fixed[v] = fixed.get(v, 0) + m
+    return fixed, free
+
+
+def parse_partition_arg(text: str, size: int | None = None) -> Partition:
+    """The Partition of "2,1,1" or exponential "2^2,1^3": a shape pattern
+    whose every multiplicity is fixed.  Given size, parts that sum to
+    anything else raise ValueError before any part is listed."""
+    counts, _ = _exp_counts(text, fixed_only=True)
+    total = sum(v * m for v, m in counts.items())
+    if not total:
+        raise ValueError(f"empty partition {text!r}")
+    if size is not None and total != size:
+        raise ValueError(f"lambda sums to {total} but the tree has {size} vertices")
+    return Partition([v for v, m in counts.items() for _ in range(m)])
+
+
+def parse_shape_pattern(text: str | None):
+    """The predicate of a `verify` shape pattern, in which "V^k" or "V^*"
+    allows any multiplicity of V, zero included.  A shape matches when its
+    part values are among the tokens' values and every fixed multiplicity
+    is met.  "*" or omission matches everything."""
+    if text is None or text.strip() == "*":
+        return lambda lam: True
+    fixed, free = _exp_counts(text)
+    allowed = fixed.keys() | free
+
+    def match(lam: Partition) -> bool:
+        form = lam.exponential_form()
+        return form.keys() <= allowed and all(form.get(v, 0) == m for v, m in fixed.items())
+
+    return match
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """The monotonicity sweep over every proper shift pair of n-vertex trees.
 
 For every pair (lower, upper) of `proper_gts_pairs(n)`, every basis and every
-selected shape lam, the sweep checks that each signed coefficient c_r of
-d_gamma(xI - L) weakly decreases from lower to upper in the non-negative q^2
-cone (for the f basis, in auto mode, after taking coefficient-wise absolute
-values), and that every entry of the a[i][r] table does.
+shape lam that the --lambda pattern selects (read by
+`partitions.parse_shape_pattern`, in gmf's notation), the sweep checks that
+each signed coefficient c_r of d_gamma(xI - L) weakly decreases from lower
+to upper in the non-negative q^2 cone (for the f basis, in auto mode, after
+taking coefficient-wise absolute values), and that every entry of the
+a[i][r] table does.
 
 The checks run in a[i][r] coordinates.  With alpha_i(gamma) the binomial
 transform of gamma's involution-class values,
@@ -65,43 +67,8 @@ from typing import NamedTuple
 from . import BASES, kernel
 from .gts import GtsPair, proper_gts_pairs
 from .kernel import SlotPacking, alphas
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, parse_shape_pattern
 from .trees import CanonicalTree, enumerate_free_trees
-
-
-def parse_shape_pattern(text: str | None):
-    """Shape patterns for --lambda: a comma list of tokens "V", "V^E",
-    "V^k" or "V^*" (the last two meaning any multiplicity, zero included).
-    A shape matches when its part values are among the tokens' values and
-    every fixed multiplicity is met.  "*" or omission matches everything."""
-    if text is None or text.strip() == "*":
-        return lambda lam: True
-    fixed: dict[int, int] = {}
-    free: set[int] = set()
-    for token in text.split(","):
-        token = token.strip()
-        v_s, caret, m_s = token.partition("^")
-        try:
-            v = int(v_s)
-            if m_s in ("k", "*"):
-                free.add(v)
-            elif caret:
-                fixed[v] = int(m_s)
-                if fixed[v] < 0:
-                    raise ValueError
-            else:
-                fixed[v] = fixed.get(v, 0) + 1
-        except ValueError:
-            raise ValueError(f"bad shape pattern {text!r}: token {token!r}") from None
-    allowed = set(fixed) | free
-
-    def match(lam: Partition) -> bool:
-        form = lam.exponential_form()
-        if any(v not in allowed for v in form):
-            return False
-        return all(form.get(v, 0) == m for v, m in fixed.items())
-
-    return match
 
 
 class SweepConfig:
@@ -173,15 +140,14 @@ def tree_rows(payload) -> list[list[int]]:
 class SweepResult(NamedTuple):
     """Outcome of a sweep.  checks lists every (basis, lam, mode, vector)
     in report order, vector indexing the sums of `_differences`.  The rest
-    is what `write_report` recomputes each pair's differences from: codes
-    holds per pair its (lower, upper) codes, rows per tree code its packed
-    rows (the a[i] rows, then the |c_r| rows), and plans per vector its
-    plan."""
+    is what `write_report` recomputes each pair's differences from: the
+    caller's pairs, rows per tree code its packed rows (the a[i] rows, then
+    the |c_r| rows), and plans per vector its plan."""
 
     summary: dict
     ok: bool
     checks: tuple[tuple[str, Partition, str, int], ...]
-    codes: tuple[tuple[str, str], ...]
+    pairs: list[GtsPair]
     slots: SlotPacking
     rows: dict[str, list[int]]
     plans: tuple[list[tuple[int, int]], ...]
@@ -284,8 +250,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         "failures": failures,
     }
     ok = monotone_failed == 0 and air_failed == 0
-    codes = tuple((p.lower.code, p.upper.code) for p in pairs)
-    return SweepResult(summary, ok, tuple(checks), codes, slots, packed, tuple(plans))
+    return SweepResult(summary, ok, tuple(checks), pairs, slots, packed, tuple(plans))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -354,13 +319,13 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
             for row in slots.rows(s, m)
         ]
 
-    def monotone_blocks(lo: str, up: str) -> list[list[tuple[str, bool]]]:
-        _, sums = _differences(result.rows, result.plans, lo, up)
+    def monotone_blocks(p: GtsPair) -> list[list[tuple[str, bool]]]:
+        _, sums = _differences(result.rows, result.plans, p.lower.code, p.upper.code)
         return [decoded(s) for s in sums]
 
-    def air_block(lo: str, up: str) -> list[tuple[str, bool]]:
+    def air_block(p: GtsPair) -> list[tuple[str, bool]]:
         """The rows of every Delta_i, entry k being (i, r) = divmod(k, m)."""
-        lo_rows, up_rows = result.rows[lo][:half], result.rows[up][:half]
+        lo_rows, up_rows = result.rows[p.lower.code][:half], result.rows[p.upper.code][:half]
         return [row for a, b in zip(lo_rows, up_rows) for row in decoded(a - b)]
 
     write = _write_json if cfg.fmt == "json" else _write_csv
@@ -395,35 +360,35 @@ def _write_json(fh, cfg, result, monotone_blocks, air_block) -> None:
     # head[:-2] drops the closing "\n}" of the config and summary object
     fh.write(head[:-2] + ',\n  "monotone": [')
     sep = "\n"
-    for lo, up in result.codes:
-        pair = _JSON_PAIR % (lo, up)
+    for p in result.pairs:
+        pair = _JSON_PAIR % (p.lower.code, p.upper.code)
         # per vector: its perR list and the check's closing pass line
         tails = [
             _json_list([_JSON_PER_R % (r, _json_array(text), _JSON_BOOL[ok])
                         for r, (text, ok) in enumerate(blk)], " " * 6)
             + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blk)]
-            for blk in monotone_blocks(lo, up)
+            for blk in monotone_blocks(p)
         ]
         parts = []
         for head_c, (_, _, _, k) in zip(heads, result.checks):
             parts += (sep, pair, head_c, tails[k])
             sep = ",\n"
         fh.write("".join(parts))
-    fh.write(("\n  ]" if sep != "\n" else "]") + ',\n  "air": ' + ("[" if result.codes else "[]"))
+    fh.write(("\n  ]" if sep != "\n" else "]") + ',\n  "air": ' + ("[" if result.pairs else "[]"))
     m = cfg.n + 1
     sep = "\n"
-    for lo, up in result.codes:
-        blk = air_block(lo, up)
+    for p in result.pairs:
+        blk = air_block(p)
         entries = [
             _JSON_AIR_ENTRY % (k // m, k % m, _json_array(text), _JSON_BOOL[ok])
             for k, (text, ok) in enumerate(blk)
         ]
         fh.write(
-            sep + _JSON_PAIR % (lo, up) + '      "check": "air-monotone",\n      "entries": '
+            sep + _JSON_PAIR % (p.lower.code, p.upper.code) + '      "check": "air-monotone",\n      "entries": '
             + _json_list(entries, " " * 6) + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blk)]
         )
         sep = ",\n"
-    fh.write(("\n  ]" if result.codes else "") + "\n}\n")
+    fh.write(("\n  ]" if result.pairs else "") + "\n}\n")
 
 
 def _write_csv(fh, cfg, result, monotone_blocks, air_block) -> None:
@@ -440,22 +405,22 @@ def _write_csv(fh, cfg, result, monotone_blocks, air_block) -> None:
     ]
     fh.write(csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
                        "difference", "pass") + "\r\n")
-    for lo, up in result.codes:
+    for p in result.pairs:
         # row = prefix (check, pair, basis, lambda, mode, empty i) + tail (r on)
         tails = [
             [f"{r},{text},{_CSV_PASS[ok]}\r\n" for r, (text, ok) in enumerate(blk)]
-            for blk in monotone_blocks(lo, up)
+            for blk in monotone_blocks(p)
         ]
-        pair = csv_cells(lo, up)
+        pair = csv_cells(p.lower.code, p.upper.code)
         parts = []
         for head, (_, _, _, k) in zip(heads, result.checks):
             prefix = f"monotone,{pair},{head},,"
             parts.append(prefix + prefix.join(tails[k]))
         fh.write("".join(parts))
     m = cfg.n + 1
-    for lo, up in result.codes:
-        prefix = f"air,{csv_cells(lo, up)},,,,"
+    for p in result.pairs:
+        prefix = f"air,{csv_cells(p.lower.code, p.upper.code)},,,,"
         fh.write("".join(
             f"{prefix}{k // m},{k % m},{text},{_CSV_PASS[ok]}\r\n"
-            for k, (text, ok) in enumerate(air_block(lo, up))
+            for k, (text, ok) in enumerate(air_block(p))
         ))

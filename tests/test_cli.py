@@ -207,6 +207,13 @@ def test_negative_multiplicity_is_rejected(capsys, p3_file):
     assert parse_shape_pattern("2^0,1^*")(Partition([1, 1]))
 
 
+def test_gmf_free_multiplicity_names_the_token(capsys, p3_file):
+    assert run_cli("gmf", "--tree", p3_file, "--lambda", "2^*") == 2
+    assert capsys.readouterr().err == "error: a partition needs a fixed multiplicity, got '2^*'\n"
+    with pytest.raises(ValueError, match="fixed multiplicity, got '1\\^k'"):
+        parse_partition_arg("2,1^k")
+
+
 def test_lambda_size_is_checked_before_its_parts_are_listed(p3_file):
     # 2^1000000000 would be a list of 8 GB: the sum is read from the runs
     import resource
@@ -394,6 +401,25 @@ def test_cmd_verify_lambda_filter(capsys):
     code, out = run_cli_capture(capsys, "verify", "--n", "5", "--lambda", "2^k,1^*")
     assert code == 0
     assert "lambdas=3" in out  # 1^5, 2 1^3, 2^2 1
+
+
+@pytest.mark.parametrize("pattern", ["2,2^2", "2^2,2", "2^3"])
+def test_verify_lambda_tokens_of_one_value_add_up(capsys, pattern):
+    code, out = run_cli_capture(capsys, "verify", "--n", "6", "--lambda", pattern)
+    assert code == 0
+    assert "lambdas=1" in out
+    assert parse_shape_pattern(pattern)(Partition([2, 2, 2]))
+    assert not parse_shape_pattern(pattern)(Partition([2, 2, 1, 1]))
+
+
+@pytest.mark.parametrize("pattern", ["0", "-1^*"])
+def test_verify_rejects_non_positive_lambda_values(capsys, pattern):
+    assert run_cli("verify", "--n", "5", f"--lambda={pattern}") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and pattern in captured.err
+    assert "RESULT" not in captured.out
+    with pytest.raises(ValueError):
+        sweep.SweepConfig(n=5, lambda_filter=pattern)
 
 
 def test_cmd_verify_report_deterministic_across_jobs(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treegmf import Partition, enumerate_partitions, mn_character, z_order
+from treegmf.partitions import parse_partition_arg, parse_shape_pattern
 
 from oracles import hook_length_dimension, partition_count, recursive_character
 
@@ -32,6 +33,16 @@ def test_exp_string():
     assert Partition([2, 1, 1]).to_exp_string() == "2,1^2"
     assert Partition([2] * 4 + [1] * 7).to_exp_string() == "2^4,1^7"
     assert Partition([5]).to_exp_string() == "5"
+
+
+def test_exp_string_reads_back_through_both_lambda_parsers():
+    for n in range(1, 13):
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            text = lam.to_exp_string()
+            assert parse_partition_arg(text, n) == lam
+            match = parse_shape_pattern(text)
+            assert [mu for mu in shapes if match(mu)] == [lam]
 
 
 def test_enumeration_order_n4():
