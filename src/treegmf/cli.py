@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import stat
 import sys
@@ -198,6 +197,8 @@ def _emit(opts: _Options, fmt: str, **views) -> int:
         csv.writer(buf).writerows(view)
         text = buf.getvalue()
     else:
+        import json
+
         text = json.dumps(view, indent=2) + "\n"
     _write_or_print(text, opts.get("out"))
     return 0

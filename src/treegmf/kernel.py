@@ -12,6 +12,7 @@ decodes the a[i][r] rows with it.
 from __future__ import annotations
 
 import sys
+from array import array
 from math import comb, factorial
 from typing import TYPE_CHECKING, Sequence
 
@@ -24,8 +25,8 @@ if TYPE_CHECKING:
     from .trees import LabeledTree
 
 
-# memoryview.cast codes that read a slot of 1, 2, 4 or 8 bytes as one
-# signed int; slots are written little-endian
+# memoryview.cast and array codes that hold a slot of 1, 2, 4 or 8 bytes
+# as one signed int; slots are written little-endian
 _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
@@ -33,9 +34,9 @@ class SlotPacking:
     """`count` signed integers packed into one int, slot k holding value v_k
     as v_k * 2^(k W).  W is the fewest whole bytes that fit every
     |v| <= bound with its sign: 2^(W-1) > bound.  With castable, W up to 8
-    is rounded up to 1, 2, 4 or 8, so that `rows` decodes every slot with
-    one C-level cast; wider packed ints make every sum and cone test cost
-    more, so only a sweep that writes a report asks for it."""
+    is rounded up to 1, 2, 4 or 8, so that `rows` and `values` decode every
+    slot with one C-level cast; wider packed ints make every sum and cone
+    test cost more, so only a sweep that writes a report asks for it."""
 
     def __init__(self, count: int, bound: int, castable: bool = False) -> None:
         self.count = count
@@ -49,22 +50,53 @@ class SlotPacking:
         self._cast = _CASTS.get(self.width)
 
     def pack(self, values: list[int]) -> int:
+        """The packed int of `values`; a value outside [-2^(8W-1), 2^(8W-1))
+        raises OverflowError.  At 1, 2, 4 and 8 bytes one array conversion
+        writes every slot's two's complement bytes D, and flipping each
+        slot's top bit (D ^ bias) adds 2^(8W-1) to every slot, which the
+        bias takes off again."""
+        if self._cast:
+            data = array(self._cast, values).tobytes()
+            return (int.from_bytes(data, "little") ^ self.bias) - self.bias
         w, half = self.width, self.half
         data = b"".join((v + half).to_bytes(w, "little") for v in values)
         return int.from_bytes(data, "little") - self.bias
 
+    def mask(self, slots) -> int:
+        """The int whose bytes are all set over exactly the given slots."""
+        full, shift = (1 << 8 * self.width) - 1, 8 * self.width
+        return sum(full << shift * k for k in slots)
+
+    def _bytes(self, packed: int, zeros: int = 0) -> bytes:
+        """Every slot's two's complement bytes.  Adding the bias shifts each
+        slot into [0, 2^W) without carries; flipping each slot's top bit
+        then leaves v mod 2^W.  A slot under the mask `zeros` that is not 0
+        raises ValueError."""
+        data = (packed + self.bias) ^ self.bias
+        if data & zeros:
+            raise ValueError("a packed slot expected to be 0 is not")
+        return data.to_bytes(self.width * self.count, "little")
+
+    def _decode(self, data: bytes):
+        if self._cast:
+            return memoryview(data).cast(self._cast)
+        w = self.width
+        return [int.from_bytes(data[k:k + w], "little", signed=True)
+                for k in range(0, len(data), w)]
+
+    def values(self, packed: int, zeros: int = 0):
+        """Every slot value, as a sequence indexed by slot; a slot under the
+        mask `zeros` that is not 0 raises ValueError."""
+        return self._decode(self._bytes(packed, zeros))
+
     def rows(self, packed: int, m: int) -> list[list[int]]:
         """The slot values in rows of m slots, each cut after its last
-        nonzero value.  Adding the bias shifts each slot into [0, 2^W)
-        without carries; flipping each slot's top bit then leaves v mod 2^W,
-        the slot's two's complement bytes."""
+        nonzero value."""
         w = self.width
-        data = ((packed + self.bias) ^ self.bias).to_bytes(w * self.count, "little")
+        data = self._bytes(packed)
+        values = self._decode(data)
         if self._cast:
-            values = memoryview(data).cast(self._cast).tolist()
-        else:
-            values = [int.from_bytes(data[k:k + w], "little", signed=True)
-                      for k in range(0, len(data), w)]
+            values = values.tolist()
         # a row's trailing zero slots are its trailing zero bytes
         return [
             values[k:k + (len(data[k * w:(k + m) * w].rstrip(b"\0")) + w - 1) // w]

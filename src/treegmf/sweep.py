@@ -44,24 +44,33 @@ a combination of at most n/2+1 difference rows.
   plan, with one cone test on every slot at once: adding the bias that sets
   only each slot's top bit leaves every slot's top bit set exactly when
   every slot is >= 0.
+* A signed plan whose integer A_i are all >= 0 is implied by the air
+  check, since a nonnegative combination of rows in the cone stays in it;
+  the sweep marks these plans at its start, from each vector's exact A.
+  Per pair the n/2+1 air masks run first.  When they all pass, only the
+  plans not implied are summed and tested (absolute ones, and signed ones
+  with a negative A_i); when one fails, every plan is.
 * Every (pair, basis, lam) check is counted and gets its own failure line;
-  checks that share a gamma vector share its result, and none is skipped
-  because another implies it.
+  checks that share a gamma vector share its result, and a check that the
+  air check implies is counted as passed.
 * A report (`write_report`) walks the pairs a second time after the
-  checks, recomputes each pair's sums from the packed rows and decodes each
-  (pair, vector) block once, by one C-level cast of its slots (slot by
-  slot at other widths), straight to the text of its cells; every (basis,
-  lam) that shares the vector reuses it.  Each pair's text is written
-  before the next pair's is made, so memory holds one pair, and no
-  q-polynomial is built.  The json report is written directly in
-  json.dumps's indent-2 layout, not through the encoder.
+  checks, recomputes each pair's sums from the packed rows and formats
+  each (pair, vector) block once; every (basis, lam) that shares the
+  vector reuses its text.  A block lies in the a-table's triangle
+  i0 <= e <= r - i0 of its lowest support index i0, so a block that passes
+  its cone test is written from one template per i0 by one cast, one
+  itemgetter, one % and a fixed number of str.replace passes, after one
+  AND checks that every slot outside the triangle is 0; a failing block is
+  decoded row by row, which flags each failing row.  Each pair's text is written before the next pair's is
+  made, so memory holds one pair, and no q-polynomial is built.  The json
+  report is written directly in json.dumps's indent-2 layout, not through
+  the encoder, and the csv report quotes its cells itself.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import BASES, kernel
@@ -139,10 +148,11 @@ def tree_rows(payload) -> list[list[int]]:
 
 class SweepResult(NamedTuple):
     """Outcome of a sweep.  checks lists every (basis, lam, mode, vector)
-    in report order, vector indexing the sums of `_differences`.  The rest
+    in report order, vector indexing plans and lows.  The rest
     is what `write_report` recomputes each pair's differences from: the
     caller's pairs, rows per tree code its packed rows (the a[i] rows, then
-    the |c_r| rows), and plans per vector its plan."""
+    the |c_r| rows), plans per vector its plan, and lows per vector the
+    smallest i with A_i != 0 (n/2+1 for the zero vector)."""
 
     summary: dict
     ok: bool
@@ -151,19 +161,12 @@ class SweepResult(NamedTuple):
     slots: SlotPacking
     rows: dict[str, list[int]]
     plans: tuple[list[tuple[int, int]], ...]
+    lows: tuple[int, ...]
 
 
 def _witness(pair: GtsPair) -> str:
     path = [v + 1 for v in pair.witness_path]
     return f"x={pair.witness_x + 1} y={pair.witness_y + 1} path={path}"
-
-
-def _differences(rows: dict, plans, lo: str, up: str) -> tuple[list[int], list[int]]:
-    """The packed difference of every row of the pair (lo, up), the first
-    n/2+1 being Delta_i, and per vector its packed sum over its plan."""
-    deltas = [a - b for a, b in zip(rows[lo], rows[up])]
-    sums = [sum(a * deltas[k] for k, a in plan) for plan in plans]
-    return deltas, sums
 
 
 def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPair]) -> SweepResult:
@@ -182,16 +185,21 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
             key = (kernel.gamma_values(basis, lam), mode)
             checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
     # per vector its plan: the nonzero (i, A_i) of its integer alphas
-    # (signed), or its |c_r| row, placed after the a[i] rows (absolute)
-    plans, abs_alphas, weight = [], [], 1
+    # (signed), or its |c_r| row, placed after the a[i] rows (absolute); the
+    # open plans are those the air check does not imply
+    plans, lows, open_plans, abs_alphas, weight = [], [], [], [], 1
     for gamma_j, mode in vector_index:
         alpha = alphas(gamma_j)
         weight = max(weight, sum(map(abs, alpha)))
+        lows.append(next((i for i, a in enumerate(alpha) if a), half))
         if mode == "absolute":
             plans.append([(half + len(abs_alphas), 1)])
             abs_alphas.append(alpha)
         else:
             plans.append([(i, a) for i, a in enumerate(alpha) if a])
+        if mode == "absolute" or min(alpha) < 0:
+            open_plans.append((len(plans) - 1, plans[-1]))
+    all_plans = list(enumerate(plans))
     payloads = [(t.representative, abs_alphas) for t in trees]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = pool_size(cfg.jobs, cpus, len(payloads))
@@ -215,21 +223,28 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
 
     failures: list[str] = []
     monotone_failed = air_failed = 0
+    nonnegative = slots.nonnegative
     for pair in pairs:
         lo, up = pair.lower.code, pair.upper.code
-        deltas, sums = _differences(packed, plans, lo, up)
-        oks = [slots.nonnegative(s) for s in sums]
-        if not all(oks):
-            bad = {k: bad_rs(s) for k, s in enumerate(sums) if not oks[k]}
+        deltas = [a - b for a, b in zip(packed[lo], packed[up])]
+        air = deltas[:half]
+        air_ok = all(map(nonnegative, air))
+        # the sums of the plans the air check does not decide, and of every
+        # plan when it fails
+        bad = {}
+        for k, plan in open_plans if air_ok else all_plans:
+            s = sum(a * deltas[j] for j, a in plan)
+            if not nonnegative(s):
+                bad[k] = bad_rs(s)
+        if bad:
             for basis, lam, mode, k in checks:
-                if not oks[k]:
+                if k in bad:
                     monotone_failed += 1
                     failures.append(
                         f"monotone lower={lo} upper={up} basis={basis} "
                         f"lambda={lam.to_exp_string()} mode={mode} r={bad[k]} {_witness(pair)}"
                     )
-        air = deltas[:half]
-        if not all(map(slots.nonnegative, air)):
+        if not air_ok:
             air_failed += 1
             bad_entries = [(i, r) for i, d in enumerate(air) for r in bad_rs(d)]
             failures.append(f"air lower={lo} upper={up} entries={bad_entries} {_witness(pair)}")
@@ -250,7 +265,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         "failures": failures,
     }
     ok = monotone_failed == 0 and air_failed == 0
-    return SweepResult(summary, ok, tuple(checks), pairs, slots, packed, tuple(plans))
+    return SweepResult(summary, ok, tuple(checks), pairs, slots, packed, tuple(plans), tuple(lows))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -273,11 +288,16 @@ _JSON_AIR_ENTRY = (
 _JSON_PAIR = '    {\n      "pair": {\n        "lower": "%s",\n        "upper": "%s"\n      },\n'
 _JSON_PASS = ',\n      "pass": %s\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
+_JSON_END = "\n          ]"  # closes a difference's coefficient list
 _CSV_PASS = {True: "pass", False: "FAIL"}
 # A difference's rows hold the coefficients of u^e = q^(2e); between two of
 # them the q-polynomial has the coefficient 0 of an odd power of q.
 _CSV_SEP = ";0/1;"
 _JSON_SEP = ",\n" + _JSON_COEFF % (0, 1) + ",\n"
+
+
+def _json_array(text: str) -> str:
+    return "[\n" + text + _JSON_END if text else "[]"
 
 
 def _json_list(items: list[str], pad: str) -> str:
@@ -297,6 +317,11 @@ class _Cells(dict):
         return text
 
 
+# the two kinds of block: a (pair, vector) sum, its rows labelled r, and a
+# Delta_i, its rows labelled (i, r)
+_MONOTONE, _AIR = 0, 1
+
+
 def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
     """Write the json or csv report of a sweep to the text stream fh, one
     pair at a time.  Each pair's differences are recomputed from the packed
@@ -304,44 +329,100 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
     (basis, lam) that shares the vector, and the pair's text is written
     before the next pair's is made, so the report is never held whole.  Both
     formats list every air row after every monotone row, so the air rows
-    come from a second walk over the pairs."""
-    m, half = cfg.n + 1, cfg.n // 2 + 1
+    come from a second walk over the pairs.
+
+    A block is a sum of A_i Delta_i over i >= i0 (i0 = i for the air block
+    Delta_i, the vector's low index otherwise), so its slots lie in the
+    triangle i0 <= e <= r - i0 of a[i0].  A block that passes its cone test
+    is formatted in one pass.  One cast decodes its slots and one AND checks
+    that every slot outside the triangle is 0 (ValueError if not).  One
+    itemgetter picks the triangle's slots, and one % writes them into a
+    short form: per row "<", its numbers joined by ";" up to e = r - i0,
+    and ">", rows apart by "\0".  str.replace passes cut each row after its
+    last nonzero number, 2^j trailing zeros at a time, largest j first,
+    and then a row whose one number is 0; four more write "<>", "<", ">"
+    and ";" as the format's text, and a second % puts the rows into the
+    block.  A block that fails keeps the per-row path, which flags each
+    failing row."""
+    n = cfg.n
+    m, half = n + 1, n // 2 + 1
     slots = result.slots
-    form, sep = (_JSON_COEFF, _JSON_SEP) if cfg.fmt == "json" else ("%d/%d", _CSV_SEP)
+    if cfg.fmt == "json":
+        form, sep, flags, join, wrap = _JSON_COEFF, _JSON_SEP, _JSON_BOOL, ",\n", _json_array
+        row_forms = {_MONOTONE: _JSON_PER_R, _AIR: _JSON_AIR_ENTRY}
+    else:
+        form, sep, flags, join, wrap = "%d/%d", _CSV_SEP, _CSV_PASS, "", str
+        row_forms = {_MONOTONE: "%d,%s,%s\r\n", _AIR: "%d,%d,%s,%s\r\n"}
     cell = _Cells(form).__getitem__
 
-    def decoded(s: int) -> list[tuple[str, bool]]:
-        """Per row of the packed difference s: its coefficients' texts
-        joined ("" for a zero row), and whether it is >= 0."""
-        ok = slots.nonnegative(s)
-        return [
-            (sep.join(map(cell, row)), ok or min(row, default=0) >= 0)
-            for row in slots.rows(s, m)
-        ]
+    def per_row(s: int, kind: int, lead: tuple) -> tuple[str, bool]:
+        """A block's text row by row, with each row's pass flag, and
+        whether every row passes."""
+        texts, oks = [], []
+        for r, row in enumerate(slots.rows(s, m)):
+            oks.append(min(row, default=0) >= 0)
+            texts.append(row_forms[kind] % (*lead, r, wrap(sep.join(map(cell, row))), flags[oks[-1]]))
+        return join.join(texts), all(oks)
 
-    def monotone_blocks(p: GtsPair) -> list[list[tuple[str, bool]]]:
-        _, sums = _differences(result.rows, result.plans, p.lower.code, p.upper.code)
-        return [decoded(s) for s in sums]
+    # the text before and after the number of one cell, and of a row's cells
+    head, tail = (form.replace("%d", "\0", 1) % 1).split("\0")
+    opening, closing = wrap(head + "\0" + tail).split("\0")
+    passes = [(";0" * (1 << j) + ">", ">") for j in reversed(range(n.bit_length()))]
+    passes += [("<0>", "<>"), ("<>", wrap("")), ("<", opening), (">", closing),
+              (";", tail + sep + head)]
 
-    def air_block(p: GtsPair) -> list[tuple[str, bool]]:
-        """The rows of every Delta_i, entry k being (i, r) = divmod(k, m)."""
+    def template(kind: int, i0: int) -> tuple:
+        """The short form of a passing block with "%d" for each slot of the
+        triangle of i0, the block's text with "%s" for each row's
+        difference, the mask of every slot outside the triangle, and the
+        getter of the triangle's slots in text order."""
+        short = "\0".join(
+            "<" + (";".join(["0"] * i0 + ["%d"] * (r - 2 * i0 + 1)) if r >= 2 * i0 else "") + ">"
+            for r in range(m)
+        )
+        lead = (i0,) if kind == _AIR else ()
+        text = join.join(row_forms[kind] % (*lead, r, "%s", flags[True]) for r in range(m))
+        picks = [r * m + e for r in range(m) for e in range(i0, r - i0 + 1)]
+        outside = slots.mask(sorted(set(range(m * m)).difference(picks)))
+        return short, text, outside, itemgetter(*picks) if picks else lambda values: ()
+
+    # i0 = n/2+1 for the zero vector, whose triangle is empty
+    templates = {(kind, i0): template(kind, i0) for kind in (_MONOTONE, _AIR)
+                 for i0 in range(half + 1)}
+
+    def block(s: int, kind: int, i0: int) -> tuple[str, bool]:
+        if not slots.nonnegative(s):
+            return per_row(s, kind, (i0,) if kind == _AIR else ())
+        short, text, outside, getter = templates[kind, i0]
+        short %= getter(slots.values(s, outside))
+        for old, new in passes:
+            short = short.replace(old, new)
+        return text % tuple(short.split("\0")), True
+
+    plans, lows = result.plans, result.lows
+
+    def monotone_blocks(p: GtsPair) -> list[tuple[str, bool]]:
+        deltas = [a - b for a, b in zip(result.rows[p.lower.code], result.rows[p.upper.code])]
+        return [block(sum(a * deltas[j] for j, a in plan), _MONOTONE, low)
+                for plan, low in zip(plans, lows)]
+
+    def air_blocks(p: GtsPair) -> list[tuple[str, bool]]:
+        """The block of every Delta_i, in order of i."""
         lo_rows, up_rows = result.rows[p.lower.code][:half], result.rows[p.upper.code][:half]
-        return [row for a, b in zip(lo_rows, up_rows) for row in decoded(a - b)]
+        return [block(a - b, _AIR, i) for i, (a, b) in enumerate(zip(lo_rows, up_rows))]
 
     write = _write_json if cfg.fmt == "json" else _write_csv
-    write(fh, cfg, result, monotone_blocks, air_block)
+    write(fh, cfg, result, monotone_blocks, air_blocks)
 
 
-def _json_array(text: str) -> str:
-    return "[\n" + text + "\n          ]" if text else "[]"
-
-
-def _write_json(fh, cfg, result, monotone_blocks, air_block) -> None:
+def _write_json(fh, cfg, result, monotone_blocks, air_blocks) -> None:
     """The json report: the bytes json.dumps(obj, indent=2) + "\\n" writes for
     {"config", "summary", "monotone": [check objects], "air": [air objects]}.
     Only the config and summary go through json.dumps; the rest holds codes
     (parentheses only), basis and mode names, and numbers, so nothing needs
     escaping."""
+    import json
+
     head = json.dumps({
         "config": {
             "n": cfg.n,
@@ -363,64 +444,54 @@ def _write_json(fh, cfg, result, monotone_blocks, air_block) -> None:
     for p in result.pairs:
         pair = _JSON_PAIR % (p.lower.code, p.upper.code)
         # per vector: its perR list and the check's closing pass line
-        tails = [
-            _json_list([_JSON_PER_R % (r, _json_array(text), _JSON_BOOL[ok])
-                        for r, (text, ok) in enumerate(blk)], " " * 6)
-            + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blk)]
-            for blk in monotone_blocks(p)
-        ]
+        tails = ["[\n" + text + "\n      ]" + _JSON_PASS % _JSON_BOOL[ok]
+                 for text, ok in monotone_blocks(p)]
         parts = []
         for head_c, (_, _, _, k) in zip(heads, result.checks):
             parts += (sep, pair, head_c, tails[k])
             sep = ",\n"
         fh.write("".join(parts))
     fh.write(("\n  ]" if sep != "\n" else "]") + ',\n  "air": ' + ("[" if result.pairs else "[]"))
-    m = cfg.n + 1
     sep = "\n"
     for p in result.pairs:
-        blk = air_block(p)
-        entries = [
-            _JSON_AIR_ENTRY % (k // m, k % m, _json_array(text), _JSON_BOOL[ok])
-            for k, (text, ok) in enumerate(blk)
-        ]
+        blocks = air_blocks(p)
         fh.write(
-            sep + _JSON_PAIR % (p.lower.code, p.upper.code) + '      "check": "air-monotone",\n      "entries": '
-            + _json_list(entries, " " * 6) + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blk)]
+            sep + _JSON_PAIR % (p.lower.code, p.upper.code) + '      "check": "air-monotone",\n'
+            + '      "entries": [\n' + ",\n".join(text for text, _ in blocks) + "\n      ]"
+            + _JSON_PASS % _JSON_BOOL[all(ok for _, ok in blocks)]
         )
         sep = ",\n"
     fh.write(("\n  ]" if result.pairs else "") + "\n}\n")
 
 
-def _write_csv(fh, cfg, result, monotone_blocks, air_block) -> None:
-    import csv
+def _csv_row(*fields: str) -> str:
+    """fields as one csv row, without its line end, in csv.writer's quoting:
+    a field holding a comma is quoted.  Only a lambda of two or more parts
+    does; names, codes (parentheses only) and numbers hold no comma, quote
+    or line break."""
+    return ",".join(f'"{f}"' if "," in f else f for f in fields)
 
-    def csv_cells(*fields) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(fields)
-        return buf.getvalue()
 
+def _write_csv(fh, cfg, result, monotone_blocks, air_blocks) -> None:
+    """The csv report: the rows csv.writer writes, each ending in \\r\\n.  A
+    block's text holds one row per line, from its r (its i for the air) on;
+    each line gets the check's leading fields by one replace."""
     heads = [
-        csv_cells(basis, ",".join(map(str, lam.parts)), mode)
+        _csv_row(basis, ",".join(map(str, lam.parts)), mode)
         for basis, lam, mode, _ in result.checks
     ]
-    fh.write(csv_cells("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
-                       "difference", "pass") + "\r\n")
+    fh.write(_csv_row("check", "lower", "upper", "basis", "lambda", "mode", "i", "r",
+                      "difference", "pass") + "\r\n")
+    n, lines = cfg.n, (cfg.n // 2 + 1) * (cfg.n + 1)
     for p in result.pairs:
-        # row = prefix (check, pair, basis, lambda, mode, empty i) + tail (r on)
-        tails = [
-            [f"{r},{text},{_CSV_PASS[ok]}\r\n" for r, (text, ok) in enumerate(blk)]
-            for blk in monotone_blocks(p)
-        ]
-        pair = csv_cells(p.lower.code, p.upper.code)
+        blocks = monotone_blocks(p)
+        pair = _csv_row(p.lower.code, p.upper.code)
         parts = []
         for head, (_, _, _, k) in zip(heads, result.checks):
             prefix = f"monotone,{pair},{head},,"
-            parts.append(prefix + prefix.join(tails[k]))
+            parts += (prefix, blocks[k][0].replace("\n", "\n" + prefix, n))
         fh.write("".join(parts))
-    m = cfg.n + 1
     for p in result.pairs:
-        prefix = f"air,{csv_cells(p.lower.code, p.upper.code)},,,,"
-        fh.write("".join(
-            f"{prefix}{k // m},{k % m},{text},{_CSV_PASS[ok]}\r\n"
-            for k, (text, ok) in enumerate(air_block(p))
-        ))
+        prefix = f"air,{_csv_row(p.lower.code, p.upper.code)},,,,"
+        text = "".join(text for text, _ in air_blocks(p))
+        fh.write(prefix + text.replace("\n", "\n" + prefix, lines - 1))

@@ -12,7 +12,6 @@ the combinatorial Laplacian D - A.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -402,6 +401,8 @@ def parse_tree(text: str) -> LabeledTree:
     """Accept either the edge-list text format or {"n", "edges"} JSON."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
+
         return tree_from_json_obj(json.loads(text))
     return tree_from_edge_text(text)
 

@@ -577,6 +577,22 @@ def test_verify_runs_on_the_integer_kernel_alone():
     assert symfunc.alphas is gmf.alphas is sweep.alphas is kernel.alphas
 
 
+@pytest.mark.parametrize("argv", [
+    ["trees", "--n", "9"],
+    ["poset", "--n", "9"],
+    ["verify", "--n", "7", "--jobs", "2"],
+    ["verify", "--n", "5", "--format", "csv", "--out", "{tmp}/report.csv"],
+])
+def test_launches_that_write_no_json_load_neither_json_nor_csv(argv, tmp_path):
+    # poset writes its json layout directly, and the verify csv report quotes
+    # its cells itself
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    treegmf.cli.main(sys.argv[1:])")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert _loaded_in_a_fresh_interpreter(code, *argv, watch=("json", "csv")) == set()
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (["trees", "--n", "4"], {"treegmf.trees"}),
     (["poset", "--n", "5"], {"treegmf.trees", "treegmf.gts"}),
@@ -768,19 +784,20 @@ def test_failed_report_write_keeps_the_earlier_file_and_leaves_no_temporary(
 
     out = tmp_path / "r.csv"
     out.write_text("earlier report\n")
-    rows = SlotPacking.rows
+    values = SlotPacking.values
     calls = []
 
-    def failing_rows(self, packed, m):
+    # the report decodes every passing block through SlotPacking.values
+    def failing_values(self, packed, zeros=0):
         calls.append(packed)
         if len(calls) == 200:
             # some pairs are already written to the temporary file
             (tmp,) = [p for p in tmp_path.iterdir() if p != out]
             assert tmp.stat().st_size > 0
             raise RuntimeError("injected")
-        return rows(self, packed, m)
+        return values(self, packed, zeros)
 
-    monkeypatch.setattr(SlotPacking, "rows", failing_rows)
+    monkeypatch.setattr(SlotPacking, "values", failing_values)
     with pytest.raises(RuntimeError, match="injected"):
         main(["verify", "--n", "7", "--format", "csv", "--out", str(out)])
     assert out.read_text() == "earlier report\n"
