@@ -19,14 +19,13 @@ BASES = ("m", "e", "h", "p", "s", "f")  # here, so that the CLI parser loads no 
 
 # every public name, in __all__ order -> the module that provides it
 _HOME = {
-    "BASES": "symfunc",
+    "BASES": "kernel",
     "AirTable": "gmf",
     "CanonicalTree": "trees",
-    "ClassFunctionValue": "symfunc",
+    "ClassFunctionValue": "oracle",
     "GmfPolynomial": "gmf",
     "GtsPair": "gts",
     "LabeledTree": "trees",
-    "Matching": "trees",
     "Partition": "partitions",
     "PowerExpansion": "symfunc",
     "QP_ONE": "qpoly",
@@ -35,33 +34,24 @@ _HOME = {
     "XQPolynomial": "qpoly",
     "ahu_canonical": "trees",
     "air_table": "gmf",
-    "alpha": "symfunc",
     "alpha_table": "symfunc",
     "ascii_sketch": "trees",
     "centroids": "trees",
     "enumerate_free_trees": "trees",
     "enumerate_partitions": "partitions",
-    "gmf_poly_bruteforce": "gmf",
+    "gmf_poly_bruteforce": "oracle",
     "gmf_poly_matching": "gmf",
     "gts_shift": "gts",
-    "inverse_frobenius": "symfunc",
+    "inverse_frobenius": "oracle",
     "involution_class_values": "symfunc",
     "matching_counts": "trees",
-    "matchings": "trees",
     "mn_character": "partitions",
     "parse_tree": "trees",
-    "power_expansion": "symfunc",
+    "power_expansion": "oracle",
     "proper_gts_pairs": "gts",
-    "q_laplacian": "trees",
-    "q_laplacian_entry": "trees",
-    "rooted_code": "trees",
     "shift_is_proper": "gts",
     "tree_path": "gts",
-    "tree_to_edge_text": "trees",
-    "tree_to_json_obj": "trees",
-    "verify_air_monotone": "gmf",
     "verify_coeff_formula": "gmf",
-    "verify_monotone": "gmf",
     "z_order": "partitions",
 }
 __all__ = list(_HOME)

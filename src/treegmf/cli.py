@@ -42,13 +42,13 @@ _HOME = {
     "proper_gts_pairs": "gts",
     "pairs_to_json_text": "gts",
     "poset_to_dot": "gts",
-    "power_expansion": "symfunc",
+    "power_expansion": "oracle",
     "alpha_table": "symfunc",
     "involution_expansion": "symfunc",
     "involution_class_values": "symfunc",  # traced
     "air_table": "gmf",
     "gmf_poly_matching": "gmf",
-    "gmf_poly_bruteforce": "gmf",
+    "gmf_poly_bruteforce": "oracle",
     "matching_profile": "gmf",  # traced
     "coefficients_from_profile": "gmf",  # traced
     "monotone_report_from_coeffs": "gmf",  # traced
@@ -186,7 +186,8 @@ def _table_format(opts: _Options) -> str:
 def _emit(opts: _Options, fmt: str, **views) -> int:
     """Write the fmt view of a table command.  views maps text, csv and json
     to functions that build the text lines, the csv rows and the json
-    object; only the chosen one is called."""
+    object (or its text, already in json.dumps's indent-2 layout); only the
+    chosen one is called."""
     view = views[fmt]()
     if fmt == "text":
         text = "\n".join(view) + "\n"
@@ -196,6 +197,8 @@ def _emit(opts: _Options, fmt: str, **views) -> int:
         buf = io.StringIO()
         csv.writer(buf).writerows(view)
         text = buf.getvalue()
+    elif isinstance(view, str):
+        text = view
     else:
         import json
 
@@ -299,6 +302,27 @@ def _load_tree(path: str):
         raise UsageError(exc) from None
 
 
+# json.dumps(indent=2) layout of one coefficient of a gmf polynomial
+_JSON_RATIONAL = '        {\n          "num": "%s",\n          "den": "%s"\n        }'
+
+
+def _gmf_json_text(code: str, basis: str, parts: tuple[int, ...], poly) -> str:
+    """The bytes json.dumps(obj, indent=2) + "\n" writes for gmf's json view
+    {"tree", "n", "basis", "lambda", "poly": poly.to_json_obj()}, written
+    directly.  The code holds only parentheses, the basis is a basis tag and
+    the "num" and "den" strings are integers, so nothing is escaped."""
+    coeffs = []
+    for c in poly.signed:
+        items = [_JSON_RATIONAL % (d["num"], d["den"]) for d in c.to_json_obj()]
+        coeffs.append("[\n" + ",\n".join(items) + "\n      ]" if items else "[]")
+    return (
+        '{\n  "tree": "%s",\n  "n": %d,\n  "basis": "%s",\n  "lambda": [\n%s\n  ],\n'
+        '  "poly": {\n    "n": %d,\n    "signedCoefficients": [\n      %s\n    ]\n  }\n}\n'
+        % (code, poly.n, basis, ",\n".join("    %d" % p for p in parts), poly.n,
+           ",\n      ".join(coeffs))
+    )
+
+
 def cmd_gmf(args: argparse.Namespace) -> int:
     opts = _Options(args)
     tree_path = opts.get("tree")
@@ -340,8 +364,7 @@ def cmd_gmf(args: argparse.Namespace) -> int:
         ],
         csv=lambda: [["tree", "basis", "lambda", "r", "coefficient"]]
         + [[code, basis, shape, r, poly.signed_coefficient(r).csv_cell()] for r in rs],
-        json=lambda: {"tree": code, "n": tree.n, "basis": basis, "lambda": list(lam.parts),
-                      "poly": poly.to_json_obj()},
+        json=lambda: _gmf_json_text(code, basis, lam.parts, poly),
     )
 
 

@@ -8,24 +8,20 @@ the generalized matrix function of an n x n matrix A is
 and the generalized matrix polynomial is d_gamma(xI - A), stored as an
 XQPolynomial (signed coefficients c_0..c_n).
 
-Two evaluators with identical contracts:
-
-* gmf_poly_bruteforce sums over all n! permutations, reading Gamma off each
-  permutation's cycle type.  Factorial cost; the test oracle.
-* gmf_poly_matching exploits the tree structure of xI minus the q-Laplacian:
-  off-diagonal support is the edge set, so a permutation contributes only if
-  every non-fixed point moves along an edge and, trees having no cycles of
-  length >= 3, the contributing permutations are exactly the matchings.
-  Hence
+The evaluator here, gmf_poly_matching, exploits the tree structure of xI
+minus the q-Laplacian: off-diagonal support is the edge set, so a
+permutation contributes only if every non-fixed point moves along an edge
+and, trees having no cycles of length >= 3, the contributing permutations
+are exactly the matchings.  Hence
 
     d_gamma(xI - L) = sum over matchings M of
         Gamma(|M|) * q^(2|M|) * prod over unmatched v of (x - 1 - q^2 (deg v - 1))
 
-  The sum is evaluated by a bottom-up DP over the rooted tree
-  (matching_profile, through the integer kernel's `kernel._matching_dp`)
-  in polynomial time, in integer arithmetic in u = q^2.
-  Visiting every matching, and the n! permutation sum, remain as test
-  oracles.
+The sum is evaluated by a bottom-up DP over the rooted tree
+(matching_profile, through the integer kernel's `kernel._matching_dp`) in
+polynomial time, in integer arithmetic in u = q^2.  The n! permutation sum,
+with the same contract, is `oracle.gmf_poly_bruteforce`, run by
+`gmf --oracle` and the tests; visiting every matching is a test oracle.
 
 The per-shape table a[i][r] is c_r of the monomial-basis polynomial at shape
 2^i,1^(n-2i), divided by 2^i.  That function is (-1)^(j-i) C(j,i) 2^i on the
@@ -36,26 +32,23 @@ integers, with nothing divided.
 Every entry lies in the non-negative q^2 cone except the top entry of row 0:
 a[0][n] is the determinant of the q-Laplacian, which equals 1 - q^2 for every
 tree.  Because that entry is tree independent, all pairwise differences along
-proper shift pairs do lie in the cone; the verify_* helpers check exactly
-that.
+proper shift pairs do lie in the cone.  The sweep (`sweep.sweep_pairs`)
+checks exactly that; monotone_report_from_coeffs and
+air_monotone_report_from_tables check one pair on QPolynomial tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .kernel import _matching_dp, air_rows, alphas
 from .partitions import Partition
-from .qpoly import QP_ONE, QP_ZERO, QPolynomial, XQPolynomial
-from .symfunc import ClassFunctionValue, PowerExpansion, inverse_frobenius, involution_class_values
+from .qpoly import QP_ZERO, QPolynomial, XQPolynomial
+from .symfunc import PowerExpansion, involution_class_values
 from .trees import CanonicalTree, LabeledTree, ahu_canonical
-
-if TYPE_CHECKING:
-    from .gts import GtsPair
 
 
 class GmfPolynomial(NamedTuple):
@@ -68,27 +61,6 @@ class GmfPolynomial(NamedTuple):
 
     def signed_coefficient(self, r: int) -> QPolynomial:
         return self.poly.signed_coefficient(r)
-
-
-# ---------------------------------------------------------------------------
-# raw polynomials in x with QPolynomial coefficients (index = power of x)
-# ---------------------------------------------------------------------------
-
-
-def _xmul(a: list[QPolynomial], b: list[QPolynomial]) -> list[QPolynomial]:
-    out = [QP_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _xadd_scaled(acc: list[QPolynomial], poly: Sequence[QPolynomial], c) -> None:
-    for k, a in enumerate(poly):
-        if a:
-            acc[k] = acc[k] + a * c
 
 
 # ---------------------------------------------------------------------------
@@ -145,91 +117,6 @@ def gmf_poly_matching(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lens = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = perm[v]
-            length += 1
-        lens.append(length)
-    return tuple(sorted(lens, reverse=True))
-
-
-@lru_cache(maxsize=None)
-def cycle_type_weights(tree: LabeledTree) -> dict[tuple[int, ...], tuple[QPolynomial, ...]]:
-    """For each cycle type, the raw x-polynomial
-
-        sum over permutations psi of that type of prod_i (xI - L)[i, psi(i)]
-
-    obtained by full enumeration of all n! permutations.  Entries of xI - L:
-    x - 1 - q^2 (deg - 1) on the diagonal, +q on edges, 0 elsewhere; any zero
-    entry kills the permutation's product."""
-    n = tree.n
-    q = QPolynomial([0, 1])
-    diag_raw = [
-        [-QPolynomial([1, 0, tree.degree(v) - 1]), QP_ONE] for v in range(n)
-    ]
-    adj = [set(a) for a in tree.adj]
-    weights: dict[tuple[int, ...], list[QPolynomial]] = {}
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for i in range(n):
-            if perm[i] != i and perm[i] not in adj[i]:
-                ok = False
-                break
-        if not ok:
-            continue
-        prod = [QP_ONE]
-        for i in range(n):
-            prod = _xmul(prod, diag_raw[i]) if perm[i] == i else [c * q for c in prod]
-        key = _cycle_type(perm)
-        if key not in weights:
-            weights[key] = [QP_ZERO] * (n + 1)
-        acc = weights[key]
-        for k, c in enumerate(prod):
-            if c:
-                acc[k] = acc[k] + c
-    return {k: tuple(v) for k, v in weights.items()}
-
-
-def gmf_poly_bruteforce(
-    tree: LabeledTree,
-    gamma: PowerExpansion,
-    basis: str | None = None,
-    lam: Partition | None = None,
-    max_brute: int = 9,
-) -> GmfPolynomial:
-    """Permutation-sum evaluation of d_gamma(xI - q-Laplacian).
-
-    Guarded at n <= max_brute (default 9): the cost is factorial in n."""
-    if gamma.n != tree.n:
-        raise ValueError(f"degree mismatch: gamma has n={gamma.n}, tree has n={tree.n}")
-    if tree.n > max_brute:
-        raise ValueError(
-            f"brute force at n={tree.n} exceeds the guard ({max_brute}); raise max_brute"
-        )
-    cls_values: ClassFunctionValue = inverse_frobenius(gamma)
-    raw = [QP_ZERO] * (tree.n + 1)
-    for ctype, poly in cycle_type_weights(tree).items():
-        g = cls_values.at(Partition(ctype))
-        if g:
-            _xadd_scaled(raw, poly, g)
-    return GmfPolynomial(
-        tree=ahu_canonical(tree), basis=basis, lam=lam, poly=XQPolynomial.from_raw(tree.n, raw)
-    )
-
-
-# ---------------------------------------------------------------------------
 # the a[i][r] table
 # ---------------------------------------------------------------------------
 
@@ -279,7 +166,7 @@ def verify_coeff_formula(tree: LabeledTree, gamma: PowerExpansion) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity verifiers
+# per-pair monotonicity checks
 # ---------------------------------------------------------------------------
 
 Mode = Literal["signed", "absolute"]
@@ -351,31 +238,6 @@ def monotone_report_from_coeffs(
     )
 
 
-def verify_monotone(
-    pair: GtsPair,
-    gamma: PowerExpansion,
-    mode: Mode = "signed",
-    basis: str | None = None,
-    lam: Partition | None = None,
-) -> MonotoneReport:
-    """Check that every signed coefficient weakly decreases from the pair's
-    lower tree to its upper tree, in the q^2 cone sense."""
-    n = pair.lower.n
-    if gamma.n != n:
-        raise ValueError(f"degree mismatch: gamma has n={gamma.n}, pair has n={n}")
-    lower_poly = gmf_poly_matching(pair.lower.representative, gamma).poly
-    upper_poly = gmf_poly_matching(pair.upper.representative, gamma).poly
-    return monotone_report_from_coeffs(
-        pair.lower.code,
-        pair.upper.code,
-        lower_poly.signed,
-        upper_poly.signed,
-        mode,
-        basis=basis,
-        lam=lam,
-    )
-
-
 class AirEntryReport(NamedTuple):
     i: int
     r: int
@@ -418,14 +280,4 @@ def air_monotone_report_from_tables(
             entries.append(AirEntryReport(i=i, r=r, difference=diff, ok=ok))
     return AirMonotoneReport(
         lower_code=lower_code, upper_code=upper_code, entries=tuple(entries), ok=all_ok
-    )
-
-
-def verify_air_monotone(pair: GtsPair) -> AirMonotoneReport:
-    """Check a[i][r](lower) - a[i][r](upper) in the non-negative q^2 cone for
-    every table entry."""
-    lower = air_table(pair.lower.representative)
-    upper = air_table(pair.upper.representative)
-    return air_monotone_report_from_tables(
-        pair.lower.code, pair.upper.code, lower.values, upper.values, pair.lower.n
     )

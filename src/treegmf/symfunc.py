@@ -1,5 +1,5 @@
-"""Symmetric-function expansions, class functions on cycle types, and the
-involution-class binomial transform.
+"""Symmetric functions in the power-sum basis, gamma at the involution
+classes, and the involution-class binomial transform.
 
 A generalized matrix polynomial of a tree q-Laplacian depends on gamma only
 through Gamma(j), its inverse Frobenius image at the involution classes
@@ -9,19 +9,20 @@ sweep, `alpha_table` and the `gmf` command (through `involution_expansion`)
 read them there; it lives in the integer kernel (`kernel`), with the
 binomial transform `alphas`, and both are imported here.
 
-The general route is exact over Q and kept as the oracle and for whole class
-functions: a symmetric function of degree n is represented by its
-coordinates in the power-sum basis (PowerExpansion), and its inverse
-Frobenius image is the class function with value z_mu * coord(mu) at cycle
-type mu (ClassFunctionValue).
+A symmetric function of degree n is represented by its coordinates in the
+power-sum basis (PowerExpansion).  Gamma(j) is z_mu times the coordinate at
+mu = 2^j,1^(n-2j) (`involution_class_values`), so `involution_expansion`
+holds only those coordinates.  The full expansion of a basis element and its
+whole class function are the reference routes of `oracle`, run by
+`gmf --oracle` and the tests.
 
 Basis tags, in the fixed order used by tables and the CLI:
 
   m   monomial
-  e   elementary, omega(h): each p_mu coordinate of h times (-1)^(n - l(mu))
-  h   homogeneous (products of h_k = sum over mu of p_mu / z_mu)
+  e   elementary
+  h   homogeneous
   p   power sum
-  s   Schur (via irreducible characters)
+  s   Schur
   f   sign-scaled monomial: f_lam = (-1)^(n - len(lam)) * m_lam.  This is the
       convention under which the brick-tabloid rule carries the sign
       (-1)^(n - l(mu)) and the binomial transform is supported on the single
@@ -31,12 +32,10 @@ Basis tags, in the fixed order used by tables and the CLI:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
-from . import BASES
 from .kernel import alphas, gamma_values
-from .partitions import Partition, _partition_tuples, enumerate_partitions, mn_character, z_order
+from .partitions import Partition, enumerate_partitions, z_order
 from .qpoly import Rational, _frac, rational_to_json
 
 
@@ -114,156 +113,6 @@ class PowerExpansion:
         }
 
 
-class ClassFunctionValue:
-    """Value of a class function at each cycle type of degree n."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: dict[Partition, Fraction] | None = None) -> None:
-        values = {} if values is None else values
-        for p in values:
-            if p.n != n:
-                raise ValueError(f"key {p!r} is not a partition of {n}")
-        self.n = n
-        self.values = values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassFunctionValue):
-            return NotImplemented
-        return self.n == other.n and self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"ClassFunctionValue(n={self.n!r}, values={self.values!r})"
-
-    def at(self, mu: Partition) -> Fraction:
-        return self.values.get(mu, Fraction(0))
-
-    def at_involution(self, j: int) -> Fraction:
-        """Value at the cycle type 2^j,1^(n-2j)."""
-        return self.at(Partition.involution_shape(self.n, j))
-
-    def to_json_obj(self) -> dict:
-        items = sorted(self.values.items(), key=lambda kv: kv[0].parts, reverse=True)
-        return {
-            "n": self.n,
-            "values": [
-                {"partition": list(p.parts), "value": rational_to_json(c)} for p, c in items
-            ],
-        }
-
-
-# ---------------------------------------------------------------------------
-# power-sum expansions of the six bases
-# ---------------------------------------------------------------------------
-
-
-def _m_times_pk(coords: dict[tuple[int, ...], Fraction], k: int) -> dict[tuple[int, ...], Fraction]:
-    """Multiply a monomial-coordinate expansion by the degree-k power sum.
-
-    Adding k to a part of value v (or adjoining a new part k, the v = 0 case)
-    produces the shape with one part v+k more; the multiplicity of v+k in the
-    result counts the monomial collisions.
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for parts, c in coords.items():
-        seen: set[int] = set()
-        for idx, v in enumerate(parts):
-            if v in seen:
-                continue
-            seen.add(v)
-            grown = tuple(sorted(parts[:idx] + parts[idx + 1:] + (v + k,), reverse=True))
-            mult = grown.count(v + k)
-            out[grown] = out.get(grown, Fraction(0)) + c * mult
-        appended = tuple(sorted(parts + (k,), reverse=True))
-        out[appended] = out.get(appended, Fraction(0)) + c * appended.count(k)
-    return {p: c for p, c in out.items() if c != 0}
-
-
-@lru_cache(maxsize=None)
-def _p_in_m_row(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """Monomial coordinates of the power sum p_mu."""
-    coords: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for k in mu:
-        coords = _m_times_pk(coords, k)
-    return coords
-
-
-@lru_cache(maxsize=None)
-def _m_in_p_row(lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """Power-sum coordinates of the monomial basis element m_lam.
-
-    The p-in-m transition matrix is triangular in reverse-lexicographic order
-    (a power sum only hits coarsenings of its index, which come first), so
-    m_lam = sum of x_mu p_mu over mu up to lam, solved by one
-    back-substitution pass from lam down that reads only the rows p_mu with
-    x_mu != 0.
-    """
-    parts_list = _partition_tuples(sum(lam))
-    i = parts_list.index(lam)
-    index = {p: k for k, p in enumerate(parts_list[: i + 1])}
-    x = [Fraction(0)] * (i + 1)
-    hit = [Fraction(0)] * (i + 1)  # sum over solved k of x_k * <p_k, m_j>
-    for k in range(i, -1, -1):
-        rest = (1 if k == i else 0) - hit[k]
-        if rest:
-            row = _p_in_m_row(parts_list[k])
-            x[k] = rest / row[parts_list[k]]
-            for nu, val in row.items():
-                j = index[nu]
-                if j != k:
-                    hit[j] += x[k] * val
-    return {parts_list[j]: x[j] for j in range(i + 1) if x[j]}
-
-
-@lru_cache(maxsize=None)
-def _hk_expansion(k: int) -> PowerExpansion:
-    coords = {Partition(mu): Fraction(1, z_order(Partition(mu))) for mu in _partition_tuples(k)}
-    return PowerExpansion(k, coords)
-
-
-@lru_cache(maxsize=None)
-def _power_expansion_cached(basis: str, parts: tuple[int, ...]) -> PowerExpansion:
-    lam = Partition(parts)
-    n = lam.n
-    if basis == "p":
-        return PowerExpansion.unit(lam)
-    if basis == "h":
-        acc = PowerExpansion(0, {Partition(()): Fraction(1)})
-        for k in lam.parts:
-            acc = acc * _hk_expansion(k)
-        return acc
-    if basis == "e":  # omega(h_lam), and omega(p_mu) = (-1)^(n - l(mu)) p_mu
-        h = _power_expansion_cached("h", parts).coords
-        return PowerExpansion(n, {mu: c * (-1) ** (n - len(mu)) for mu, c in h.items()})
-    if basis == "s":
-        coords = {}
-        for mu in enumerate_partitions(n):
-            coords[mu] = Fraction(mn_character(lam, mu), z_order(mu))
-        return PowerExpansion(n, coords)
-    if basis == "m":
-        row = _m_in_p_row(lam.parts)
-        return PowerExpansion(n, {Partition(mu): c for mu, c in row.items()})
-    if basis == "f":
-        sign = (-1) ** (n - len(lam))
-        return _power_expansion_cached("m", parts) * sign
-    raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
-
-
-def power_expansion(basis: str, lam: Partition) -> PowerExpansion:
-    """Exact power-sum coordinates of the basis element indexed by lam."""
-    return _power_expansion_cached(basis, lam.parts)
-
-
-def inverse_frobenius(gamma: PowerExpansion) -> ClassFunctionValue:
-    """Class function with value z_mu * coord(mu) at every cycle type mu."""
-    values = {}
-    for mu in enumerate_partitions(gamma.n):
-        c = gamma.coefficient(mu)
-        if c:
-            values[mu] = z_order(mu) * c
-    return ClassFunctionValue(gamma.n, values)
-
-
 def involution_class_values(gamma: PowerExpansion) -> tuple[Fraction, ...]:
     """Values of the inverse Frobenius image at the cycle types 2^j,1^(n-2j)
     for j = 0..floor(n/2), without touching any other class."""
@@ -292,15 +141,6 @@ def involution_expansion(basis: str, lam: Partition) -> PowerExpansion:
 # ---------------------------------------------------------------------------
 # binomial transform over involution classes
 # ---------------------------------------------------------------------------
-
-
-def alpha(gamma: PowerExpansion, i: int) -> Fraction:
-    """Binomial transform sum_{j=0..i} C(i,j) * Gamma(j), where Gamma(j) is
-    the inverse Frobenius image of gamma at cycle type 2^j,1^(n-2j)."""
-    n = gamma.n
-    if not 0 <= i <= n // 2:
-        raise ValueError(f"need 0 <= i <= {n // 2}, got {i}")
-    return alphas(involution_class_values(gamma))[i]
 
 
 def alpha_table(n: int, basis: str) -> list[tuple[Partition, list[int]]]:

@@ -1,20 +1,22 @@
 """Labeled trees, canonical forms for unlabeled trees, free-tree enumeration
 (one centre-rooted level sequence per tree, after Wright, Richmond, Odlyzko
-and McKay), matchings, and q-Laplacian entries.
+and McKay), matching counts by size, and the tree file parsers.
 
 Vertices are 0-indexed internally; every external format (edge-list text,
 JSON, CLI output) uses 1..n.
 
 The q-Laplacian of a graph is I + q^2 (D - I) - q A: diagonal entries
 1 + q^2 (deg - 1), entries -q on edges, 0 elsewhere.  At q = 1 it reduces to
-the combinatorial Laplacian D - A.
+the combinatorial Laplacian D - A.  The library reads it off a tree's
+degrees and edges and never forms the matrix; the tests' oracles do
+(`oracles.q_laplacian`), as they enumerate matchings (`oracles.matchings`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class LabeledTree:
@@ -144,12 +146,6 @@ def _subtree_codes(tree: LabeledTree, root: int) -> list[str]:
         p = parent[v]
         codes[v] = "(" + "".join(sorted([codes[c] for c in tree.adj[v] if c != p])) + ")"
     return codes
-
-
-def rooted_code(tree: LabeledTree, root: int) -> str:
-    """Canonical code of the tree rooted at root: children codes sorted and
-    wrapped in parentheses.  Equal codes <=> rooted isomorphism."""
-    return _subtree_codes(tree, root)[root]
 
 
 def centroids(tree: LabeledTree) -> list[int]:
@@ -301,39 +297,13 @@ def enumerate_free_trees(n: int) -> list[CanonicalTree]:
     return list(_free_trees_cached(n))
 
 
-class Matching(NamedTuple):
-    """Set of pairwise vertex-disjoint edges of a host tree."""
-
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in e}
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-
-def matchings(tree: LabeledTree) -> list[Matching]:
-    """All matchings of the tree, including the empty one, sorted by size
-    then edge list: each edge in turn joins every matching found before it
-    that leaves both its ends free."""
-    found = [(frozenset(), frozenset())]  # (edges, the vertices they cover)
-    for u, v in tree.edges():
-        found += [(m | {(u, v)}, ends | {u, v})
-                  for m, ends in found if u not in ends and v not in ends]
-    return sorted((Matching(m) for m, _ in found), key=lambda m: (m.size, m.sorted_edges()))
-
-
 def matching_counts(tree: LabeledTree) -> dict[int, int]:
     """Number of matchings per size, the empty matching included, without
-    visiting them (`matchings` is the enumerating oracle).  Bottom-up over
-    the tree hung from vertex 0, each vertex keeps the generating polynomials
-    (coefficient k: matchings of size k) of its subtree's matchings with the
-    vertex free and with it matched to a child."""
+    visiting them (the tests' `oracles.matchings` enumerates them).
+    Bottom-up over the tree hung from vertex 0, each vertex keeps the
+    generating polynomials (coefficient k: matchings of size k) of its
+    subtree's matchings with the vertex free and with it matched to a
+    child."""
     from .qpoly import QP_ZERO, QPolynomial
 
     order, parent = rooted_order(tree.adj, 0)
@@ -347,23 +317,6 @@ def matching_counts(tree: LabeledTree) -> dict[int, int]:
         matched[p] = matched[p] * below + edge * free[p] * free[v]
         free[p] = free[p] * below
     return dict(enumerate((free[0] + matched[0]).nums))
-
-
-def q_laplacian_entry(tree: LabeledTree, i: int, j: int) -> QPolynomial:
-    """Entry (i, j) of I + q^2 (D - I) - q A."""
-    from .qpoly import QP_ZERO, QPolynomial
-
-    if not (0 <= i < tree.n and 0 <= j < tree.n):
-        raise ValueError(f"vertex out of range: ({i},{j})")
-    if i == j:
-        return QPolynomial([1, 0, tree.degree(i) - 1])
-    if j in tree.adj[i]:
-        return QPolynomial([0, -1])
-    return QP_ZERO
-
-
-def q_laplacian(tree: LabeledTree) -> list[list[QPolynomial]]:
-    return [[q_laplacian_entry(tree, i, j) for j in range(tree.n)] for i in range(tree.n)]
 
 
 def tree_from_edge_text(text: str) -> LabeledTree:
@@ -405,15 +358,6 @@ def parse_tree(text: str) -> LabeledTree:
 
         return tree_from_json_obj(json.loads(text))
     return tree_from_edge_text(text)
-
-
-def tree_to_json_obj(tree: LabeledTree) -> dict:
-    return {"n": tree.n, "edges": [[u + 1, v + 1] for u, v in tree.edges()]}
-
-
-def tree_to_edge_text(tree: LabeledTree) -> str:
-    lines = [str(tree.n)] + [f"{u + 1} {v + 1}" for u, v in tree.edges()]
-    return "\n".join(lines) + "\n"
 
 
 def ascii_sketch(tree: LabeledTree) -> str:

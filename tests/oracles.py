@@ -4,20 +4,24 @@ Everything here is deliberately implemented from first principles, separate
 from the package code paths it checks: partition counting via the pentagonal
 recurrence, character degrees via hook lengths, free-tree counts via Prüfer
 dedup and via the rooted-tree divisor recurrence with Otter's correction,
-path matching counts via the transfer recurrence, the matching profile
-of a tree by visiting every matching, q-polynomial arithmetic on tuples
-of Fraction coefficients, canonical codes from one pass for the centroids
-and one rooted pass per centroid, free-tree enumeration with each parent
-found by scanning the level sequence, the generalized tree shift on the
-tree's edge list, the proper-shift pairs found by testing every ordered
-vertex pair of every tree, the monotonicity sweep run
-one (pair, basis, shape) check at a time on per-tree q-polynomial tables,
-the a[i][r] rows assembled from the monomial-basis polynomials and divided
-by 2^i, the poset and verify json reports written by json.dumps, integer
-determinants by fraction-free (Bareiss) elimination, the m- and f-class
-values at every cycle type by signed weighted brick-tabloid counts, the
-full monomial/power-sum transition rows, the elementary basis as products
-of the e_k, and characters by border-strip recursion over the parts of mu.
+path matching counts via the transfer recurrence, every matching of a tree
+by extending the matchings found so far one edge at a time, the matching
+profile of a tree by visiting every matching, q-polynomial arithmetic on
+tuples of Fraction coefficients, canonical codes from one pass for the
+centroids and one rooted pass per centroid, free-tree enumeration with each
+parent found by scanning the level sequence, the generalized tree shift on
+the tree's edge list, the proper-shift pairs found by testing every ordered
+vertex pair of every tree, the monotonicity sweep run one (pair, basis,
+shape) check at a time on per-tree q-polynomial tables (and one pair's
+checks by verify_monotone and verify_air_monotone), tree files written from
+a tree's edge list, the a[i][r] rows assembled from the monomial-basis
+polynomials and divided by 2^i, the poset and verify json reports written by
+json.dumps, integer determinants by fraction-free (Bareiss) elimination, the
+a[i][r] table's generating sum as the determinant of a tau-scaled matrix,
+the q-Laplacian entry by entry, the m- and f-class values at every cycle
+type by signed weighted brick-tabloid counts, the full monomial/power-sum
+transition rows, the elementary basis as products of the e_k, and characters
+by border-strip recursion over the parts of mu.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +149,7 @@ def f_inverse_value(lam, mu) -> int:
 def p_in_m_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     """Monomial coordinates of every degree-n power-sum basis element."""
     from treegmf.partitions import _partition_tuples
-    from treegmf.symfunc import _p_in_m_row
+    from treegmf.oracle import _p_in_m_row
 
     return {mu: _p_in_m_row(mu) for mu in _partition_tuples(n)}
 
@@ -152,7 +157,7 @@ def p_in_m_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]
 def m_in_p_rows(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     """Power-sum coordinates of every degree-n monomial basis element."""
     from treegmf.partitions import _partition_tuples
-    from treegmf.symfunc import _m_in_p_row
+    from treegmf.oracle import _m_in_p_row
 
     return {lam: _m_in_p_row(lam) for lam in _partition_tuples(n)}
 
@@ -223,6 +228,19 @@ def all_labeled_trees_via_prufer(n: int):
         yield prufer_to_edges(seq)
 
 
+def tree_to_json_obj(tree) -> dict:
+    """The {"n", "edges"} JSON object of a LabeledTree, 1-indexed, as
+    treegmf.parse_tree reads it."""
+    return {"n": tree.n, "edges": [[u + 1, v + 1] for u, v in tree.edges()]}
+
+
+def tree_to_edge_text(tree) -> str:
+    """The edge-list text of a LabeledTree ("n", then "u v" per edge,
+    1-indexed), as treegmf.parse_tree reads it."""
+    lines = [str(tree.n)] + [f"{u + 1} {v + 1}" for u, v in tree.edges()]
+    return "\n".join(lines) + "\n"
+
+
 @lru_cache(maxsize=None)
 def rooted_tree_count(n: int) -> int:
     """Number of rooted unlabeled trees, by the divisor-sum recurrence."""
@@ -256,13 +274,38 @@ def path_matching_count(n: int) -> int:
     return b
 
 
+class Matching(NamedTuple):
+    """Set of pairwise vertex-disjoint edges of a host tree."""
+
+    edges: frozenset[tuple[int, int]]
+
+    @property
+    def size(self) -> int:
+        return len(self.edges)
+
+    def vertices(self) -> set[int]:
+        return {v for e in self.edges for v in e}
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.edges)
+
+
+def matchings(tree) -> list[Matching]:
+    """All matchings of the tree, including the empty one, sorted by size
+    then edge list: each edge in turn joins every matching found before it
+    that leaves both its ends free."""
+    found = [(frozenset(), frozenset())]  # (edges, the vertices they cover)
+    for u, v in tree.edges():
+        found += [(m | {(u, v)}, ends | {u, v})
+                  for m, ends in found if u not in ends and v not in ends]
+    return sorted((Matching(m) for m, _ in found), key=lambda m: (m.size, m.sorted_edges()))
+
+
 def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The matching profile in the layout of treegmf.gmf.matching_profile
     (per matching size j and power k of x, the integer u = q^2 coefficients,
     trailing zeros dropped), summed one matching at a time: each matching of
     size j adds u^j * prod over unmatched v of (x - 1 - u (deg v - 1))."""
-    from treegmf import matchings
-
     n = tree.n
     acc = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n // 2 + 1)]
     for m in matchings(tree):
@@ -309,6 +352,50 @@ def bareiss_det(matrix: list[list[int]]) -> int:
             ]
         prev = akk
     return sign * a[-1][-1]
+
+
+def determinant_air_sum(tree, x: int, q: int, tau: int) -> int:
+    """sum_i s^i sum_r (-1)^r a[i][r](q^2) x^(n-r) with s = 1 - tau^2, the
+    generating sum of a LabeledTree's a[i][r] table at one integer point, as
+    one determinant: the matrix with diagonal x - 1 - q^2 (deg v - 1) and
+    q * tau on each edge.  Its matching expansion weighs each matched edge
+    by -(q tau)^2 = (s - 1) q^2, the a-table's matched-edge weight; no
+    matching is visited and nothing is packed."""
+    u = q * q
+    return bareiss_det([
+        [x - 1 - u * (tree.degree(v) - 1) if v == w else q * tau * (w in tree.adj[v])
+         for w in range(tree.n)]
+        for v in range(tree.n)
+    ])
+
+
+def air_sum(rows, n: int, x: int, q: int, tau: int) -> int:
+    """The same generating sum read off a-table rows in the layout of
+    treegmf.kernel.air_rows (row i flat over (r, e), entry r*(n+1)+e the
+    coefficient of u^e = q^(2e) in a[i][r])."""
+    m, u, s = n + 1, q * q, 1 - tau * tau
+    return sum(
+        s**i * (-1) ** r * x ** (n - r)
+        * sum(c * u**e for e, c in enumerate(row[r * m:(r + 1) * m]))
+        for i, row in enumerate(rows) for r in range(m)
+    )
+
+
+def q_laplacian_entry(tree, i: int, j: int):
+    """Entry (i, j) of I + q^2 (D - I) - q A, a treegmf QPolynomial."""
+    from treegmf import QP_ZERO, QPolynomial
+
+    if not (0 <= i < tree.n and 0 <= j < tree.n):
+        raise ValueError(f"vertex out of range: ({i},{j})")
+    if i == j:
+        return QPolynomial([1, 0, tree.degree(i) - 1])
+    if j in tree.adj[i]:
+        return QPolynomial([0, -1])
+    return QP_ZERO
+
+
+def q_laplacian(tree) -> list:
+    return [[q_laplacian_entry(tree, i, j) for j in range(tree.n)] for i in range(tree.n)]
 
 
 def assembled_air_rows(tree) -> list[list[int]]:
@@ -372,11 +459,21 @@ def scanned_tree_from_levels(levels: list[int]):
     return LabeledTree(n, edges)
 
 
+def rooted_code(tree, root: int) -> str:
+    """Canonical code of the LabeledTree rooted at root, children's codes
+    sorted and wrapped in parentheses (equal codes <=> rooted isomorphism),
+    read off treegmf.trees._subtree_codes, the pass ascii_sketch draws
+    from."""
+    from treegmf.trees import _subtree_codes
+
+    return _subtree_codes(tree, root)[root]
+
+
 def two_pass_canonical_code(tree) -> str:
     """The canonical code of a LabeledTree as the smaller rooted code over its
     centroids: one pass finds the centroids, and each gets its own rooted
     code pass."""
-    from treegmf import centroids, rooted_code
+    from treegmf import centroids
 
     return min(rooted_code(tree, c) for c in centroids(tree))
 
@@ -566,6 +663,49 @@ class FractionQPolynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def alpha(gamma, i: int):
+    """Binomial transform sum_{j=0..i} C(i,j) * Gamma(j) of a PowerExpansion,
+    Gamma(j) its inverse Frobenius image at cycle type 2^j,1^(n-2j)."""
+    from treegmf.symfunc import alphas, involution_class_values
+
+    n = gamma.n
+    if not 0 <= i <= n // 2:
+        raise ValueError(f"need 0 <= i <= {n // 2}, got {i}")
+    return alphas(involution_class_values(gamma))[i]
+
+
+def verify_monotone(pair, gamma, mode="signed", basis=None, lam=None):
+    """One (pair, gamma) check of the sweep on QPolynomials: every signed
+    coefficient of gmf_poly_matching weakly decreases from the pair's lower
+    tree to its upper tree in the q^2 cone (absolute mode: their
+    coefficient-wise absolute values)."""
+    from treegmf import gmf_poly_matching
+    from treegmf.gmf import monotone_report_from_coeffs
+
+    n = pair.lower.n
+    if gamma.n != n:
+        raise ValueError(f"degree mismatch: gamma has n={gamma.n}, pair has n={n}")
+    lower_poly = gmf_poly_matching(pair.lower.representative, gamma).poly
+    upper_poly = gmf_poly_matching(pair.upper.representative, gamma).poly
+    return monotone_report_from_coeffs(
+        pair.lower.code, pair.upper.code, lower_poly.signed, upper_poly.signed, mode,
+        basis=basis, lam=lam,
+    )
+
+
+def verify_air_monotone(pair):
+    """The air check of one pair on QPolynomials: a[i][r](lower) -
+    a[i][r](upper) in the non-negative q^2 cone for every table entry."""
+    from treegmf import air_table
+    from treegmf.gmf import air_monotone_report_from_tables
+
+    lower = air_table(pair.lower.representative)
+    upper = air_table(pair.upper.representative)
+    return air_monotone_report_from_tables(
+        pair.lower.code, pair.upper.code, lower.values, upper.values, pair.lower.n
+    )
 
 
 def _tree_tables(payload):

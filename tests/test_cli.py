@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from treegmf import BASES, LabeledTree, ahu_canonical, tree_to_edge_text, tree_to_json_obj
+from treegmf import BASES, LabeledTree, ahu_canonical
 from treegmf.cli import _write_or_print, main, parse_partition_arg
 from treegmf import sweep
 from treegmf.sweep import FLOOR, parse_shape_pattern, pool_size
 from treegmf.partitions import Partition
 
-from oracles import prufer_to_edges
+from oracles import prufer_to_edges, tree_to_edge_text, tree_to_json_obj
 
 
 def run_cli(*argv):
@@ -547,6 +547,32 @@ def test_gmf_request_leaves_every_other_commands_modules_unloaded(t7_file, fmt):
     argv = ["gmf", "--tree", t7_file, "--basis", "m", "--lambda", "2^2,1^3",
             "--format", fmt, "--oracle"]
     assert _loaded_in_a_fresh_interpreter(code, *argv) == set()
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_gmf_loads_the_reference_routes_only_for_the_oracle(t7_file, oracle):
+    # the json view is written in json.dumps's layout without the json module
+    code = ("import contextlib, io, sys, treegmf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert treegmf.cli.main(sys.argv[1:]) == 0")
+    argv = ["gmf", "--tree", t7_file, "--basis", "s", "--lambda", "3,2,2", "--format", "json"]
+    loaded = _loaded_in_a_fresh_interpreter(
+        code, *argv, *(["--oracle"] if oracle else []), watch=("json", "treegmf.oracle"))
+    assert loaded == ({"treegmf.oracle"} if oracle else set())
+
+
+def test_gmf_json_view_is_json_dumps_layout(capsys, t7_file):
+    from treegmf import enumerate_partitions
+
+    for basis in BASES:
+        for lam in enumerate_partitions(7):
+            shape = ",".join(map(str, lam.parts))
+            code, out = run_cli_capture(capsys, "gmf", "--tree", t7_file, "--basis", basis,
+                                        "--lambda", shape, "--format", "json")
+            obj = json.loads(out)
+            assert code == 0 and out == json.dumps(obj, indent=2) + "\n"
+            assert obj["basis"] == basis and obj["lambda"] == list(lam.parts)
+            assert len(obj["poly"]["signedCoefficients"]) == 8
 
 
 def test_verify_below_the_pool_floor_loads_neither_the_pool_nor_dataclasses():

@@ -20,9 +20,7 @@ from treegmf import (
     inverse_frobenius,
     power_expansion,
     proper_gts_pairs,
-    verify_air_monotone,
     verify_coeff_formula,
-    verify_monotone,
 )
 from treegmf.gmf import (
     air_rows,
@@ -35,10 +33,14 @@ from treegmf.symfunc import PowerExpansion, involution_class_values, involution_
 
 from oracles import (
     FractionQPolynomial,
+    air_sum,
     assembled_air_rows,
     bareiss_det,
+    determinant_air_sum,
     enumerated_matching_profile,
     prufer_to_edges,
+    verify_air_monotone,
+    verify_monotone,
 )
 
 
@@ -374,6 +376,37 @@ def test_air_rows_equal_the_assembled_rows_on_40_vertex_trees(tree):
     # past the random trees' n <= 30: the (s - 1) u edge weight doubles the
     # DP's coefficient bound per matched edge, so its slots are widest here
     assert air_rows(tree) == assembled_air_rows(tree)
+
+
+def caterpillar(n):
+    """A spine of n // 2 vertices with the other vertices hung on it in turn."""
+    spine = n // 2
+    return LabeledTree(n, [(v, v + 1) for v in range(spine - 1)]
+                       + [(v % spine, spine + v) for v in range(n - spine)])
+
+
+def seeded_points(rng, count=3):
+    """Integer points (x, q, tau) with |q| and tau at least 2, so that no
+    power of u = q^2 or of s = 1 - tau^2 collapses onto another."""
+    return [(rng.randint(-9, 9), rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(2, 9))
+            for _ in range(count)]
+
+
+def test_air_rows_equal_the_tau_scaled_determinant():
+    # the whole a-table at a few seeded points, against a determinant that
+    # shares nothing with the matching DP; a wrong entry of the table makes
+    # a nonzero polynomial, which rarely vanishes at a random point
+    for n in (2, 5, 9, 12, 24, 40, 60):
+        rng = random.Random(n)
+        trees = [LabeledTree.path(n), LabeledTree.star(n), caterpillar(n)]
+        if n <= 40:  # a random 60-vertex tree's DP alone takes about 2 s
+            trees += [LabeledTree(n, prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))))
+                      for _ in range(2 if n <= 24 else 1)]
+        for tree in trees:
+            rows = air_rows(tree)
+            for x, q, tau in seeded_points(rng):
+                assert air_sum(rows, n, x, q, tau) == determinant_air_sum(tree, x, q, tau), (
+                    tree.edges(), x, q, tau)
 
 
 def test_air_table_holds_the_assembled_rows_as_q_polynomials():

@@ -19,7 +19,7 @@ from treegmf.gts import GtsPair
 from treegmf.symfunc import alphas
 from treegmf.sweep import SlotPacking, SweepConfig, _csv_row, sweep_pairs, write_report
 
-from oracles import tabled_report_text, tabled_sweep
+from oracles import air_sum, determinant_air_sum, tabled_report_text, tabled_sweep
 
 
 def reversed_pairs(n):
@@ -183,6 +183,22 @@ def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
         for i in range(n // 2 + 1):
             gamma_j = involution_class_values(power_expansion("m", Partition.involution_shape(n, i)))
             assert alphas(gamma_j) == tuple(2**i if k == i else 0 for k in range(n // 2 + 1))
+
+
+def test_the_packed_rows_of_every_tree_equal_the_tau_scaled_determinant():
+    # the a[i] rows as the sweep packs them, every basis's vectors sizing
+    # the slots, at slot widths rounded for a report and not
+    for n in range(2, 11):
+        m, half = n + 1, n // 2 + 1
+        trees = enumerate_free_trees(n)
+        for out in (None, "report.json"):
+            result = sweep_pairs(SweepConfig(n=n, out=out), trees, proper_gts_pairs(n))
+            for t in trees:
+                rows = [[c for row in result.slots.rows(packed, m) for c in row + [0] * (m - len(row))]
+                        for packed in result.rows[t.code][:half]]
+                for x, q, tau in ((3, 2, 5), (-7, -3, 2), (5, 4, 3)):
+                    assert air_sum(rows, n, x, q, tau) == determinant_air_sum(
+                        t.representative, x, q, tau), (n, t.code, out, x, q, tau)
 
 
 def unpack_by_slices(slots, packed):

@@ -5,7 +5,6 @@ import pytest
 from treegmf import (
     BASES,
     Partition,
-    alpha,
     enumerate_partitions,
     inverse_frobenius,
     mn_character,
@@ -21,6 +20,7 @@ from treegmf.symfunc import (
 )
 
 from oracles import (
+    alpha,
     elementary_product_expansion,
     f_inverse_value,
     hook_length_dimension,

@@ -7,13 +7,7 @@ from treegmf import (
     ascii_sketch,
     centroids,
     enumerate_free_trees,
-    matchings,
     parse_tree,
-    q_laplacian,
-    q_laplacian_entry,
-    rooted_code,
-    tree_to_edge_text,
-    tree_to_json_obj,
 )
 from treegmf.qpoly import QPolynomial
 from treegmf.trees import (
@@ -26,10 +20,16 @@ from oracles import (
     _rooted_level_sequences,
     all_labeled_trees_via_prufer,
     free_tree_count,
+    matchings,
     path_matching_count,
     prufer_to_edges,
+    q_laplacian,
+    q_laplacian_entry,
+    rooted_code,
     scanned_free_trees,
     scanned_tree_from_levels,
+    tree_to_edge_text,
+    tree_to_json_obj,
     two_pass_canonical_code,
 )
 
