@@ -28,15 +28,18 @@ if TYPE_CHECKING:
 # memoryview.cast and array codes that hold a slot of 1, 2, 4 or 8 bytes
 # as one signed int; slots are written little-endian
 _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+# a slot's top byte -> the byte that extends its sign
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 class SlotPacking:
     """`count` signed integers packed into one int, slot k holding value v_k
     as v_k * 2^(k W).  W is the fewest whole bytes that fit every
     |v| <= bound with its sign: 2^(W-1) > bound.  With castable, W up to 8
-    is rounded up to 1, 2, 4 or 8, so that `rows` and `values` decode every
-    slot with one C-level cast; wider packed ints make every sum and cone
-    test cost more, so only a sweep that writes a report asks for it."""
+    is rounded up to 1, 2, 4 or 8, so that one C-level cast converts every
+    slot in `pack`; the sweep asks for it, and the matching DP, whose
+    big-int products grow with W, does not.  `rows` and `values` cast 3-,
+    5-, 6- and 7-byte slots after widening them to the next cast size."""
 
     def __init__(self, count: int, bound: int, castable: bool = False) -> None:
         self.count = count
@@ -81,8 +84,19 @@ class SlotPacking:
         if self._cast:
             return memoryview(data).cast(self._cast)
         w = self.width
-        return [int.from_bytes(data[k:k + w], "little", signed=True)
-                for k in range(0, len(data), w)]
+        if w > 8 or not _CASTS:
+            return [int.from_bytes(data[k:k + w], "little", signed=True)
+                    for k in range(0, len(data), w)]
+        # each slot widened to the next cast size: its bytes copied plane by
+        # plane, and above them its top byte's sign
+        wide = 4 if w < 4 else 8
+        out = bytearray(wide * self.count)
+        for j in range(w):
+            out[j::wide] = data[j::w]
+        sign = data[w - 1::w].translate(_SIGN)
+        for j in range(w, wide):
+            out[j::wide] = sign
+        return memoryview(out).cast(_CASTS[wide]).tolist()
 
     def values(self, packed: int, zeros: int = 0):
         """Every slot value, as a sequence indexed by slot; a slot under the

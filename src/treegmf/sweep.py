@@ -35,8 +35,8 @@ a combination of at most n/2+1 difference rows.
   linear, so a pair's packed Delta_i is one subtraction of the two trees'
   packed rows.  One slot width serves the whole sweep, sized from its
   largest |a| (|Delta| is at most twice that) times its largest
-  sum_i |A_i|, plus the sign bit; when cfg.out asks for a report, it is
-  rounded up to 1, 2, 4 or 8 bytes for the writer's decode.
+  sum_i |A_i|, plus the sign bit, rounded up to 1, 2, 4 or 8 bytes so that
+  one C-level conversion packs a row and one cast decodes a block.
 * Every (gamma vector, mode) has one plan, a list of (row index, integer
   coefficient): the nonzero (i, A_i) in signed mode, its one |c_r| row with
   coefficient 1 in absolute mode.  Per pair, the packed rows are differenced
@@ -57,11 +57,11 @@ a combination of at most n/2+1 difference rows.
   checks, recomputes each pair's sums from the packed rows and formats
   each (pair, vector) block once; every (basis, lam) that shares the
   vector reuses its text.  A block lies in the a-table's triangle
-  i0 <= e <= r - i0 of its lowest support index i0, so a block that passes
-  its cone test is written from one template per i0 by one cast, one
-  itemgetter, one % and a fixed number of str.replace passes, after one
-  AND checks that every slot outside the triangle is 0; a failing block is
-  decoded row by row, which flags each failing row.  Each pair's text is written before the next pair's is
+  i0 <= e <= r - i0 of its lowest support index i0, so every block is
+  written from one template per i0 by one cast, one itemgetter, one % and
+  a fixed number of str.replace passes, after one AND checks that every
+  slot outside the triangle is 0; a block that fails its cone test also
+  flags each row.  Each pair's text is written before the next pair's is
   made, so memory holds one pair, and no q-polynomial is built.  The json
   report is written directly in json.dumps's indent-2 layout, not through
   the encoder, and the csv report quotes its cells itself.
@@ -215,7 +215,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
 
     # |Delta| <= 2 max|a|, and |c_r| <= weight * max|a|
     amax = max(abs(v) for rows in results for row in rows[:half] for v in row)
-    slots = SlotPacking(m * m, 2 * amax * weight, castable=cfg.out is not None)
+    slots = SlotPacking(m * m, 2 * amax * weight, castable=True)
     packed = {t.code: [slots.pack(row) for row in rows] for t, rows in zip(trees, results)}
 
     def bad_rs(s: int) -> list[int]:
@@ -305,18 +305,6 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
 
 
-class _Cells(dict):
-    """c -> form % (c, 1), formatted once per c."""
-
-    def __init__(self, form: str) -> None:
-        super().__init__()
-        self.form = form
-
-    def __missing__(self, c: int) -> str:
-        text = self[c] = self.form % (c, 1)
-        return text
-
-
 # the two kinds of block: a (pair, vector) sum, its rows labelled r, and a
 # Delta_i, its rows labelled (i, r)
 _MONOTONE, _AIR = 0, 1
@@ -333,17 +321,19 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
 
     A block is a sum of A_i Delta_i over i >= i0 (i0 = i for the air block
     Delta_i, the vector's low index otherwise), so its slots lie in the
-    triangle i0 <= e <= r - i0 of a[i0].  A block that passes its cone test
-    is formatted in one pass.  One cast decodes its slots and one AND checks
-    that every slot outside the triangle is 0 (ValueError if not).  One
-    itemgetter picks the triangle's slots, and one % writes them into a
-    short form: per row "<", its numbers joined by ";" up to e = r - i0,
-    and ">", rows apart by "\0".  str.replace passes cut each row after its
-    last nonzero number, 2^j trailing zeros at a time, largest j first,
-    and then a row whose one number is 0; four more write "<>", "<", ">"
-    and ";" as the format's text, and a second % puts the rows into the
-    block.  A block that fails keeps the per-row path, which flags each
-    failing row."""
+    triangle i0 <= e <= r - i0 of a[i0], and every block is formatted in
+    one pass.  One cast decodes its slots and one AND checks that every slot
+    outside the triangle is 0 (ValueError if not).  One itemgetter picks the
+    triangle's slots, and one % writes them into a short form: per row "<",
+    its numbers joined by ";" up to e = r - i0, and ">", rows apart by
+    "\0".  str.replace passes cut each row after its last nonzero number,
+    2^j trailing zeros at a time, largest j first, and then a row whose one
+    number is 0; four more write "<>", "<", ">" and ";" as the format's
+    text, and a second % puts the rows into the block's text template.  A
+    block that passes its cone test takes the template whose rows all read
+    pass; one that fails takes the template with a "%s" for each row's
+    flag, which passes when the row's slots, 0 outside the triangle, are
+    all >= 0."""
     n = cfg.n
     m, half = n + 1, n // 2 + 1
     slots = result.slots
@@ -353,16 +343,6 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
     else:
         form, sep, flags, join, wrap = "%d/%d", _CSV_SEP, _CSV_PASS, "", str
         row_forms = {_MONOTONE: "%d,%s,%s\r\n", _AIR: "%d,%d,%s,%s\r\n"}
-    cell = _Cells(form).__getitem__
-
-    def per_row(s: int, kind: int, lead: tuple) -> tuple[str, bool]:
-        """A block's text row by row, with each row's pass flag, and
-        whether every row passes."""
-        texts, oks = [], []
-        for r, row in enumerate(slots.rows(s, m)):
-            oks.append(min(row, default=0) >= 0)
-            texts.append(row_forms[kind] % (*lead, r, wrap(sep.join(map(cell, row))), flags[oks[-1]]))
-        return join.join(texts), all(oks)
 
     # the text before and after the number of one cell, and of a row's cells
     head, tail = (form.replace("%d", "\0", 1) % 1).split("\0")
@@ -372,32 +352,37 @@ def write_report(fh, cfg: SweepConfig, result: SweepResult) -> None:
               (";", tail + sep + head)]
 
     def template(kind: int, i0: int) -> tuple:
-        """The short form of a passing block with "%d" for each slot of the
-        triangle of i0, the block's text with "%s" for each row's
-        difference, the mask of every slot outside the triangle, and the
-        getter of the triangle's slots in text order."""
+        """The short form of a block with "%d" for each slot of the triangle
+        of i0; the block's text with "%s" for each row's difference, once
+        with every row's pass flag set and once with "%s" for each flag;
+        the mask of every slot outside the triangle; and the getter of the
+        triangle's slots in text order."""
         short = "\0".join(
             "<" + (";".join(["0"] * i0 + ["%d"] * (r - 2 * i0 + 1)) if r >= 2 * i0 else "") + ">"
             for r in range(m)
         )
         lead = (i0,) if kind == _AIR else ()
-        text = join.join(row_forms[kind] % (*lead, r, "%s", flags[True]) for r in range(m))
+        flagged = join.join(row_forms[kind] % (*lead, r, "%s", "%s") for r in range(m))
         picks = [r * m + e for r in range(m) for e in range(i0, r - i0 + 1)]
         outside = slots.mask(sorted(set(range(m * m)).difference(picks)))
-        return short, text, outside, itemgetter(*picks) if picks else lambda values: ()
+        return (short, flagged % (("%s", flags[True]) * m), flagged, outside,
+                itemgetter(*picks) if picks else lambda values: ())
 
     # i0 = n/2+1 for the zero vector, whose triangle is empty
     templates = {(kind, i0): template(kind, i0) for kind in (_MONOTONE, _AIR)
                  for i0 in range(half + 1)}
 
     def block(s: int, kind: int, i0: int) -> tuple[str, bool]:
-        if not slots.nonnegative(s):
-            return per_row(s, kind, (i0,) if kind == _AIR else ())
-        short, text, outside, getter = templates[kind, i0]
-        short %= getter(slots.values(s, outside))
+        short, text, flagged, outside, getter = templates[kind, i0]
+        values = slots.values(s, outside)
+        short %= getter(values)
         for old, new in passes:
             short = short.replace(old, new)
-        return text % tuple(short.split("\0")), True
+        rows = short.split("\0")
+        if slots.nonnegative(s):
+            return text % tuple(rows), True
+        marks = [flags[min(values[k:k + m]) >= 0] for k in range(0, m * m, m)]
+        return flagged % tuple(x for row_mark in zip(rows, marks) for x in row_mark), False
 
     plans, lows = result.plans, result.lows
 

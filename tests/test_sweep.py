@@ -140,16 +140,16 @@ def test_report_text_equals_the_oracle_writer(fmt):
         trees, pairs = enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n)
         summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
         expected = tabled_report_text(cfg, summary, monotone, air)
-        # with cfg.out set the slots are rounded to a cast width
+        # with cfg.out set or not
         for out in (None, "report"):
             out_cfg = cfg.replace(out=out)
             assert report_text(out_cfg, sweep_pairs(out_cfg, trees, pairs)) == expected
 
 
-def test_only_a_sweep_with_a_report_rounds_its_slot_width():
-    # n=7 over every basis needs 3-byte slots
+def test_every_sweep_rounds_its_slot_width_to_a_cast_size():
+    # n=7 over every basis needs 3-byte slots, with a report or without
     trees, pairs = enumerate_free_trees(7), proper_gts_pairs(7)
-    assert sweep_pairs(SweepConfig(n=7), trees, pairs).slots.width == 3
+    assert sweep_pairs(SweepConfig(n=7), trees, pairs).slots.width == 4
     assert sweep_pairs(SweepConfig(n=7, out="r.csv"), trees, pairs).slots.width == 4
 
 
@@ -187,7 +187,7 @@ def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
 
 def test_the_packed_rows_of_every_tree_equal_the_tau_scaled_determinant():
     # the a[i] rows as the sweep packs them, every basis's vectors sizing
-    # the slots, at slot widths rounded for a report and not
+    # the slots, for sweeps with a report and without
     for n in range(2, 11):
         m, half = n + 1, n // 2 + 1
         trees = enumerate_free_trees(n)
@@ -257,6 +257,23 @@ def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width, castable):
     for m in (1, 2, 3, 4, 6, 12):
         expected = [cut(values[k:k + m]) for k in range(0, len(values), m)]
         assert slots.rows(packed, m) == expected
+
+
+@pytest.mark.parametrize("width, castable", [(w, False) for w in SLOT_WIDTHS]
+                         + [(w, True) for w in CAST_WIDTHS])
+def test_slot_values_under_a_zero_mask_round_trip_at_the_slot_edges(width, castable):
+    # 3, 5, 6 and 7 bytes are widened to the next cast size, and their sign
+    # bytes must extend -1, -half and half - 1 alike
+    half = 1 << (8 * width - 1)
+    values = [half - 1, 0, -half, -1, 0, 1, -(half - 1), 0, 0]
+    slots = SlotPacking(len(values), half - 1, castable)
+    assert slots.width == width
+    packed = slots.pack(values)
+    zeros = slots.mask(k for k, v in enumerate(values) if v == 0)
+    assert list(slots.values(packed, zeros)) == values
+    assert list(slots.values(packed)) == unpack_by_slices(slots, packed)
+    with pytest.raises(ValueError, match="expected to be 0"):
+        slots.values(packed, zeros | slots.mask([2]))
 
 
 @pytest.mark.parametrize("need, width", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (7, 8), (9, 9)])
@@ -394,6 +411,25 @@ def test_a_nonzero_slot_outside_a_blocks_triangle_stops_the_report(fmt, r, e):
     code = pairs[0].lower.code
     lower = list(result.rows[code])
     lower[2] += 1 << (8 * result.slots.width * (r * m + e))
+    planted = result._replace(rows={**result.rows, code: lower})
+    with pytest.raises(ValueError, match="expected to be 0"):
+        write_report(DigestSink(), cfg, planted)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("r, e", [(5, 1), (4, 3), (3, 2)])
+def test_a_nonzero_slot_outside_a_failing_blocks_triangle_stops_the_report(fmt, r, e):
+    # -1 in the lower tree's row a[2] at a slot outside 2 <= e <= r - 2
+    # takes Delta_2 out of the cone, so its block fails; it must not be
+    # written as a FAIL row
+    n, m = 6, 7
+    cfg = SweepConfig(n=n, bases=("m",), fmt=fmt, out="report")
+    trees, pairs = enumerate_free_trees(n), proper_gts_pairs(n)
+    result = sweep_pairs(cfg, trees, pairs)
+    code = pairs[0].lower.code
+    lower = list(result.rows[code])
+    lower[2] -= 1 << (8 * result.slots.width * (r * m + e))
+    assert not result.slots.nonnegative(lower[2] - result.rows[pairs[0].upper.code][2])
     planted = result._replace(rows={**result.rows, code: lower})
     with pytest.raises(ValueError, match="expected to be 0"):
         write_report(DigestSink(), cfg, planted)
