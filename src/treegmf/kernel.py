@@ -39,7 +39,8 @@ class SlotPacking:
     is rounded up to 1, 2, 4 or 8, so that one C-level cast converts every
     slot in `pack`; the sweep asks for it, and the matching DP, whose
     big-int products grow with W, does not.  `rows` and `values` cast 3-,
-    5-, 6- and 7-byte slots after widening them to the next cast size."""
+    5-, 6- and 7-byte slots after widening them to the next cast size;
+    `nonnegative` and `absolute` act on every slot at once."""
 
     def __init__(self, count: int, bound: int, castable: bool = False) -> None:
         self.count = count
@@ -117,6 +118,15 @@ class SlotPacking:
             for k in range(0, self.count, m)
         ]
 
+    def absolute(self, packed: int) -> int:
+        """The packed int of every slot's |v|, given |v| < 2^(8W-1).  A slot
+        is negative exactly when its top bit is clear after adding the bias;
+        its biased value less 2^(8W-1) is v, and subtracting 2v leaves -v."""
+        biased = packed + self.bias
+        neg = self.bias ^ (biased & self.bias)  # the top bit of each negative slot
+        full = (neg >> (8 * self.width - 1)) * ((1 << 8 * self.width) - 1)
+        return packed - 2 * ((biased & full) - neg)
+
     def nonnegative(self, packed: int) -> bool:
         """Every slot >= 0.  Adding the bias shifts each slot into
         [0, 2^W) without carries, and the slot's top bit is then set
@@ -124,53 +134,54 @@ class SlotPacking:
         return (packed + self.bias) & self.bias == self.bias
 
 
+def _fold(tree: LabeledTree, diag, edge):
+    """The root's total in the matching DP's pass, on any ring.  Bottom-up
+    over the tree rooted at vertex 0, each vertex v keeps two polynomials
+    over its subtree: prod[v], the product of its children's totals, and
+    matched[v], the sum over children c of prod[c] (c's subtree with c
+    uncovered, before c's diagonal factor) times the other children's
+    totals.  v's total is then diag(v, prod[v]) + edge(matched[v]), v
+    unmatched or matched to a child; one child at a time costs O(deg v)."""
+    from .trees import rooted_order
+
+    order, parent = rooted_order(tree.adj, 0)
+    # a vertex's entries are dropped once its parent has absorbed them
+    prod: dict[int, int] = {}
+    matched: dict[int, int] = {}
+    for v in reversed(order):
+        g = prod.pop(v, 1)
+        total = diag(v, g) + edge(matched.pop(v, 0))
+        p = parent[v]
+        if p >= 0:
+            matched[p] = matched.get(p, 0) * total + prod.get(p, 1) * g
+            prod[p] = prod.get(p, 1) * total
+    return total
+
+
 def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> list[list[int]]:
     """The matching DP: per power j of y and power k of x (row j*(n+1)+k),
     the integer coefficients in u = q^2, lowest first and trailing zeros
     dropped, of x^k in the sum over matchings M of (c0 + c1 y)^|M| u^|M| *
     prod over unmatched v of (x - 1 - u (deg v - 1)), weight = (c0, c1)
-    being the matched-edge weight in an outer variable y.
-
-    Bottom-up over the tree rooted at vertex 0, each vertex v keeps two
-    polynomials in (y, x, u) over its subtree: prod[v], the product of its
-    children's totals, and matched[v], the sum over children c of prod[c]
-    (c's subtree with c uncovered, before c's diagonal factor) times the
-    other children's totals.  v's total is then (x - 1 - u (deg v - 1)) *
-    prod[v] + (c0 + c1 y) u * matched[v], v unmatched or matched to a child;
-    folding in one child at a time costs O(deg v) products.
+    being the matched-edge weight in an outer variable y: `_fold` with
+    diag(v, g) = (x - 1 - u (deg v - 1)) g and edge(h) = (c0 + c1 y) u h.
 
     Each polynomial is Kronecker-packed into one int in the signed slots of
     SlotPacking (y, x and u are powers of 2^W), so a product is one
     big-int multiplication, and `SlotPacking.rows` decodes the root.  The
     slots fit the largest root coefficient, which the same DP bounds when
     run on absolute values at y = x = u = 1."""
-    from .trees import rooted_order
-
-    n = tree.n
-    adj = tree.adj
-    order, parent = rooted_order(tree.adj, 0)
+    n, adj = tree.n, tree.adj
     c0, c1 = weight
-
-    def fold(diag, edge):
-        # a vertex's entries are dropped once its parent has absorbed them
-        prod: dict[int, int] = {}
-        matched: dict[int, int] = {}
-        for v in reversed(order):
-            g = prod.pop(v, 1)
-            total = diag(v, g) + edge(matched.pop(v, 0))
-            p = parent[v]
-            if p >= 0:
-                matched[p] = matched.get(p, 0) * total + prod.get(p, 1) * g
-                prod[p] = prod.get(p, 1) * total
-        return total
-
-    bound = fold(lambda v, g: (2 + abs(len(adj[v]) - 1)) * g, lambda h: (abs(c0) + abs(c1)) * h)
+    bound = _fold(tree, lambda v, g: (2 + abs(len(adj[v]) - 1)) * g,
+                  lambda h: (abs(c0) + abs(c1)) * h)
     m = n + 1
     slots = SlotPacking((n // 2 + 1) * m * m, bound)
     u_shift = 8 * slots.width
     x_shift = u_shift * m
     yu_shift = x_shift * m + u_shift
-    packed = fold(
+    packed = _fold(
+        tree,
         lambda v, g: (g << x_shift) - g - (len(adj[v]) - 1) * (g << u_shift),
         lambda h: (c0 * h << u_shift) + (c1 * h << yu_shift),
     )

@@ -24,11 +24,9 @@ a combination of at most n/2+1 difference rows.
 * Each (basis, lam) gets its gamma vector, the integers Gamma(0..n/2), from
   `kernel.gamma_values` in closed form, with no power-sum expansion; equal
   (vector, mode) keys are checked once.
-* Per tree, a worker takes the integer rows a[i][r][e] (coefficient of u^e)
-  from `kernel.air_rows` and appends, for each absolute-mode gamma vector with
-  integer alphas A, the row |c_r| = |sum_i A_i a[i][r]|: one row list per
-  tree.  A process pool does this only at FLOOR trees per worker or more,
-  in a few chunks each; with fewer, starting it costs more than it saves.
+* Per tree, `kernel.air_rows` gives the integer rows a[i][r][e] (coefficient
+  of u^e).  A process pool maps it over the trees only at FLOOR trees per
+  worker or more, in a few chunks each; with fewer, its start costs more.
 * Each row is Kronecker-packed over (r, e) into one int with signed slots
   in `kernel.SlotPacking`, the one slot format of the package (the
   matching DP packs and decodes through it too).  Packing is
@@ -37,6 +35,9 @@ a combination of at most n/2+1 difference rows.
   largest |a| (|Delta| is at most twice that) times its largest
   sum_i |A_i|, plus the sign bit, rounded up to 1, 2, 4 or 8 bytes so that
   one C-level conversion packs a row and one cast decodes a block.
+* Each absolute-mode vector with integer alphas A adds to a tree's packed
+  rows |c_r| = |sum_i A_i a[i][r]|, the packed sum of its a[i] rows made
+  absolute in every slot at once (`SlotPacking.absolute`).
 * Every (gamma vector, mode) has one plan, a list of (row index, integer
   coefficient): the nonzero (i, A_i) in signed mode, its one |c_r| row with
   coefficient 1 in absolute mode.  Per pair, the packed rows are differenced
@@ -127,25 +128,6 @@ def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
     return max(1, min(jobs, cpus or 1, tasks // FLOOR))
 
 
-def tree_rows(payload) -> list[list[int]]:
-    """Per-tree worker.  Returns the integer rows a[i] of `kernel.air_rows` for
-    i = 0..n/2, each flat over (r, e) with entry r*(n+1)+e the coefficient
-    of u^e = q^(2e) in a[i][r], followed for each integer alpha vector A by
-    the row |sum_i A_i a[i]|."""
-    tree, abs_alphas = payload
-    # looked up on the module at call time, so that a future wrapper on
-    # kernel.air_rows (ROADMAP item 3) would see pool workers' calls too
-    rows = kernel.air_rows(tree)
-    abs_rows = []
-    for coeffs in abs_alphas:
-        acc = [0] * len(rows[0])
-        for a, row in zip(coeffs, rows):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, row)]
-        abs_rows.append([abs(x) for x in acc])
-    return rows + abs_rows
-
-
 class SweepResult(NamedTuple):
     """Outcome of a sweep.  checks lists every (basis, lam, mode, vector)
     in report order, vector indexing plans and lows.  The rest
@@ -200,23 +182,29 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         if mode == "absolute" or min(alpha) < 0:
             open_plans.append((len(plans) - 1, plans[-1]))
     all_plans = list(enumerate(plans))
-    payloads = [(t.representative, abs_alphas) for t in trees]
+    reps = [t.representative for t in trees]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = pool_size(cfg.jobs, cpus, len(payloads))
+    workers = pool_size(cfg.jobs, cpus, len(reps))
+    # kernel.air_rows is looked up on the module at call time (and by name
+    # in pool workers), so that a wrapper on it (ROADMAP item 3) sees every call
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # a few chunks per worker: one task per tree costs a round trip each
-        chunk = max(1, len(payloads) // (8 * workers))
+        chunk = max(1, len(reps) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(tree_rows, payloads, chunksize=chunk))
+            results = list(pool.map(kernel.air_rows, reps, chunksize=chunk))
     else:
-        results = [tree_rows(p) for p in payloads]
+        results = [kernel.air_rows(t) for t in reps]
 
     # |Delta| <= 2 max|a|, and |c_r| <= weight * max|a|
-    amax = max(abs(v) for rows in results for row in rows[:half] for v in row)
+    amax = max(max(max(row), -min(row)) for rows in results for row in rows)
     slots = SlotPacking(m * m, 2 * amax * weight, castable=True)
-    packed = {t.code: [slots.pack(row) for row in rows] for t, rows in zip(trees, results)}
+    packed = {}
+    for t, rows in zip(trees, results):
+        a_rows = [slots.pack(row) for row in rows]
+        packed[t.code] = a_rows + [slots.absolute(sum(a * p for a, p in zip(alpha, a_rows) if a))
+                                   for alpha in abs_alphas]
 
     def bad_rs(s: int) -> list[int]:
         return [r for r, row in enumerate(slots.rows(s, m)) if min(row, default=0) < 0]

@@ -299,24 +299,15 @@ def enumerate_free_trees(n: int) -> list[CanonicalTree]:
 
 def matching_counts(tree: LabeledTree) -> dict[int, int]:
     """Number of matchings per size, the empty matching included, without
-    visiting them (the tests' `oracles.matchings` enumerates them).
-    Bottom-up over the tree hung from vertex 0, each vertex keeps the
-    generating polynomials (coefficient k: matchings of size k) of its
-    subtree's matchings with the vertex free and with it matched to a
-    child."""
-    from .qpoly import QP_ZERO, QPolynomial
+    visiting them (the tests' `oracles.matchings` enumerates them): the
+    matching DP's pass (`kernel._fold`) with every diagonal 1 and
+    matched-edge weight y, packed with slot k holding the matchings of size
+    k.  A slot fits 2^(n-1), the number of sets of edges."""
+    from .kernel import SlotPacking, _fold
 
-    order, parent = rooted_order(tree.adj, 0)
-    edge = QPolynomial.from_ints([0, 1])
-    free = [QPolynomial.from_ints([1])] * tree.n
-    matched = [QP_ZERO] * tree.n
-    for v in reversed(order[1:]):
-        p = parent[v]
-        below = free[v] + matched[v]
-        # the edge p-v joins a matching with p free and one with v free
-        matched[p] = matched[p] * below + edge * free[p] * free[v]
-        free[p] = free[p] * below
-    return dict(enumerate((free[0] + matched[0]).nums))
+    slots = SlotPacking(tree.n // 2 + 1, 1 << tree.n - 1)
+    packed = _fold(tree, lambda v, g: g, lambda h: h << 8 * slots.width)
+    return dict(enumerate(slots.rows(packed, slots.count)[0]))
 
 
 def tree_from_edge_text(text: str) -> LabeledTree:

@@ -1,9 +1,10 @@
-"""Mutation tests for the slot codec, the implied-plan test and the report
-writer.  Each mutant is a text edit to the source of treegmf.kernel or
-treegmf.sweep, executed as a module under a temporary name, so nothing is
-written under src/.  Its oracle must accept the package's module and reject
-the mutant; a mutant whose text no longer occurs in the source fails too,
-so a rewrite of the code has to carry its mutants along."""
+"""Mutation tests for the slot codec and its absolute value, the
+implied-plan test and the report writer.  Each mutant is a text edit to the
+source of treegmf.kernel or treegmf.sweep, executed as a module under a
+temporary name, so nothing is written under src/.  Its oracle must accept
+the package's module and reject the mutant; a mutant whose text no longer
+occurs in the source fails too, so a rewrite of the code has to carry its
+mutants along."""
 
 import importlib
 import importlib.util
@@ -13,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from treegmf import LabeledTree, enumerate_free_trees, kernel, proper_gts_pairs
+from treegmf import LabeledTree, enumerate_free_trees, kernel, proper_gts_pairs, sweep
 from treegmf.gts import GtsPair
 
 from oracles import air_sum, assembled_air_rows, determinant_air_sum, tabled_sweep
@@ -33,6 +34,14 @@ def load_mutant(module: str, old: str, new: str):
     return mutant
 
 
+def reversed_pairs(n: int) -> list[GtsPair]:
+    """Every proper pair at n with lower and upper swapped, so that the air
+    check and many monotone checks fail."""
+    return [GtsPair(lower=p.upper, upper=p.lower, witness_x=p.witness_x,
+                    witness_y=p.witness_y, witness_path=p.witness_path)
+            for p in proper_gts_pairs(n)]
+
+
 def slot_codec_holds(kernel_module) -> bool:
     """The slot codec against its definition, packed = sum v_k 2^(8Wk): pack,
     values and nonnegative at every width, a negative value in the last
@@ -48,6 +57,34 @@ def slot_codec_holds(kernel_module) -> bool:
             if list(slots.values(packed)) != values or slots.nonnegative(packed):
                 return False
     return True
+
+
+def absolute_holds(kernel_module) -> bool:
+    """SlotPacking.absolute against its definition, the packed int of every
+    |v|, at every width with values up to 2^(8W-1) - 1 of either sign."""
+    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+        top = (1 << (8 * width - 1)) - 1
+        values = [top, -1, 0, -top, 1, 5, -5]
+        for castable in (False, True):
+            slots = kernel_module.SlotPacking(len(values), top, castable)
+            expected = sum(abs(v) << (8 * slots.width * k) for k, v in enumerate(values))
+            if slots.absolute(slots.pack(values)) != expected:
+                return False
+    return True
+
+
+def absolute_sweep_equals_the_per_check_oracle(kernel_module) -> bool:
+    """Every basis in absolute mode on the reversed pairs at n=6, the sweep
+    packing its slots with kernel_module's SlotPacking, against the
+    per-check oracle: the |c_r| rows are made by SlotPacking.absolute."""
+    n = 6
+    pairs = reversed_pairs(n)
+    cfg = sweep.SweepConfig(n=n, mode="absolute")
+    trees = enumerate_free_trees(n)
+    with mock.patch.object(sweep, "SlotPacking", kernel_module.SlotPacking):
+        result = sweep.sweep_pairs(cfg, trees, pairs)
+    summary, _, _, _ = tabled_sweep(cfg, trees, pairs)
+    return [f[:f.rindex(" x=")] for f in result.summary["failures"]] == summary["failures"]
 
 
 def rows_equal_the_determinant(kernel_module) -> bool:
@@ -128,9 +165,7 @@ def csv_flags_follow_the_differences(sweep_module) -> bool:
     slot (3, 0) of Delta_0.  a[0][r][0] is the same for every tree, so row
     r = 3 fails there alone and the rows around it pass."""
     n = 6
-    pairs = [GtsPair(lower=p.upper, upper=p.lower, witness_x=p.witness_x,
-                     witness_y=p.witness_y, witness_path=p.witness_path)
-             for p in proper_gts_pairs(n)]
+    pairs = reversed_pairs(n)
     cfg = sweep_module.SweepConfig(n=n, bases=("m",), fmt="csv", out="report")
     reports = [(cfg, sweep_module.sweep_pairs(cfg, enumerate_free_trees(n), pairs)),
                planted(sweep_module, "csv", 0, 3, 0, -1)]
@@ -149,6 +184,11 @@ MUTANTS = {
     "bias without the last slot's top bit": (
         "kernel", '* count, "little")', '* count, "little") ^ 1 << 8 * self.width * count - 1',
         slot_codec_holds),
+    "absolute without the 2 of 2v": (
+        "kernel", "return packed - 2 * (", "return packed - (", absolute_holds),
+    "absolute's negative slots read as the nonnegative ones": (
+        "kernel", "neg = self.bias ^ (biased & self.bias)", "neg = biased & self.bias",
+        absolute_sweep_equals_the_per_check_oracle),
     "widened sign bytes left at 0": (
         "kernel", "sign = data[w - 1::w].translate(_SIGN)", "sign = bytes(len(data) // w)",
         rows_equal_the_determinant),
