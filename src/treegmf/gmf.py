@@ -28,7 +28,8 @@ The per-shape table a[i][r] is c_r of the monomial-basis polynomial at shape
 class 2^j,1^(n-2j) (brick tabloids, Egecioglu-Remmel 1991), so a[i][r] is c_r
 of the coefficient of s^i in sum_j (s - 1)^j w_j: one DP with matched-edge
 weight (s - 1)u in place of tu (`kernel.air_rows`, imported here), in
-integers, with nothing divided.
+integers, with nothing divided.  The DP folds x^n w(-1/x), so its slots are
+the table in order, and matching_profile reads them back in powers of x.
 Every entry lies in the non-negative q^2 cone except the top entry of row 0:
 a[0][n] is the determinant of the q-Laplacian, which equals 1 - q^2 for every
 tree.  Because that entry is tree independent, all pairwise differences along
@@ -73,10 +74,13 @@ def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ..
     """Per matching size j and power k of x, the integer coefficients in
     u = q^2 (lowest first, trailing zeros dropped) of x^k in w_j, the sum
     over matchings of size j of u^j * prod over unmatched v of
-    (x - 1 - u (deg v - 1)): the matching DP with matched-edge weight t u."""
-    m = tree.n + 1
-    rows = _matching_dp(tree, (0, 1))
-    return tuple(tuple(map(tuple, rows[k:k + m])) for k in range(0, len(rows), m))
+    (x - 1 - u (deg v - 1)): the matching DP with matched-edge weight t u,
+    whose row j*(n+1) + n - k holds them times (-1)^(n-k)."""
+    n, m = tree.n, tree.n + 1
+    slots, packed = _matching_dp(tree, (0, 1))
+    rows = slots.rows(packed, m)
+    return tuple(tuple(tuple((-1) ** (n - k) * c for c in rows[j + n - k]) for k in range(m))
+                 for j in range(0, len(rows), m))
 
 
 def coefficients_from_profile(

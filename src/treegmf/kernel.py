@@ -158,19 +158,19 @@ def _fold(tree: LabeledTree, diag, edge):
     return total
 
 
-def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> list[list[int]]:
-    """The matching DP: per power j of y and power k of x (row j*(n+1)+k),
-    the integer coefficients in u = q^2, lowest first and trailing zeros
-    dropped, of x^k in the sum over matchings M of (c0 + c1 y)^|M| u^|M| *
-    prod over unmatched v of (x - 1 - u (deg v - 1)), weight = (c0, c1)
-    being the matched-edge weight in an outer variable y: `_fold` with
-    diag(v, g) = (x - 1 - u (deg v - 1)) g and edge(h) = (c0 + c1 y) u h.
+def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> tuple[SlotPacking, int]:
+    """The matching DP on the reversed polynomial, as its slots and root int.
+    w(x) is the sum over matchings M of (c0 + c1 y)^|M| u^|M| * prod over
+    unmatched v of (x - 1 - u (deg v - 1)), weight = (c0, c1) being the
+    matched-edge weight in an outer variable y.  The root is (-1)^n x^n
+    w(-1/x): `_fold` with diag(v, g) = (1 + x + (deg v - 1) x u) g and
+    edge(h) = (c0 + c1 y) u x^2 h.  So slot (j*(n+1) + r)*(n+1) + e holds
+    (-1)^r times the coefficient of y^j x^(n-r) u^e in w, for any n.
 
     Each polynomial is Kronecker-packed into one int in the signed slots of
     SlotPacking (y, x and u are powers of 2^W), so a product is one
-    big-int multiplication, and `SlotPacking.rows` decodes the root.  The
-    slots fit the largest root coefficient, which the same DP bounds when
-    run on absolute values at y = x = u = 1."""
+    big-int multiplication.  The slots fit the largest root coefficient,
+    which the same DP bounds when run on absolute values at y = x = u = 1."""
     n, adj = tree.n, tree.adj
     c0, c1 = weight
     bound = _fold(tree, lambda v, g: (2 + abs(len(adj[v]) - 1)) * g,
@@ -179,13 +179,14 @@ def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> list[list[int]]:
     slots = SlotPacking((n // 2 + 1) * m * m, bound)
     u_shift = 8 * slots.width
     x_shift = u_shift * m
-    yu_shift = x_shift * m + u_shift
+    edge = 2 * x_shift + u_shift
+    y_edge = edge + x_shift * m
     packed = _fold(
         tree,
-        lambda v, g: (g << x_shift) - g - (len(adj[v]) - 1) * (g << u_shift),
-        lambda h: (c0 * h << u_shift) + (c1 * h << yu_shift),
+        lambda v, g: g + (g << x_shift) + (len(adj[v]) - 1) * (g << x_shift + u_shift),
+        lambda h: (c0 * h << edge) + (c1 * h << y_edge),
     )
-    return slots.rows(packed, m)
+    return slots, packed
 
 
 def air_rows(tree: LabeledTree) -> list[list[int]]:
@@ -193,18 +194,11 @@ def air_rows(tree: LabeledTree) -> list[list[int]]:
     r*(n+1)+e is the coefficient of u^e = q^(2e) in a[i][r].
 
     a[i][r] is (-1)^r times the coefficient of s^i x^(n-r) in the matching
-    DP with matched-edge weight (s - 1) u, sum_j (s - 1)^j w_j."""
-    n, m = tree.n, tree.n + 1
-    rows = _matching_dp(tree, (-1, 1))
-    out = []
-    for i in range(n // 2 + 1):
-        flat = []
-        for r in range(m):
-            coeffs = rows[i * m + n - r]
-            flat += [-c for c in coeffs] if r % 2 else coeffs
-            flat += [0] * (m - len(coeffs))
-        out.append(flat)
-    return out
+    DP with matched-edge weight (s - 1) u, sum_j (s - 1)^j w_j, so the
+    DP's slots are the rows in order, and one decode cuts them."""
+    slots, packed = _matching_dp(tree, (-1, 1))
+    values, k = list(slots.values(packed)), (tree.n + 1) ** 2
+    return [values[i:i + k] for i in range(0, len(values), k)]
 
 
 def gamma_values(basis: str, lam: Partition) -> tuple[int, ...]:

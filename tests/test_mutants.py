@@ -1,10 +1,10 @@
-"""Mutation tests for the slot codec and its absolute value, the
-implied-plan test and the report writer.  Each mutant is a text edit to the
-source of treegmf.kernel or treegmf.sweep, executed as a module under a
-temporary name, so nothing is written under src/.  Its oracle must accept
-the package's module and reject the mutant; a mutant whose text no longer
-occurs in the source fails too, so a rewrite of the code has to carry its
-mutants along."""
+"""Mutation tests for the slot codec and its absolute value, the matching
+DP's fold, the implied-plan test and the report writer.  Each mutant is a
+text edit to the source of treegmf.kernel or treegmf.sweep, executed as a
+module under a temporary name, so nothing is written under src/.  Its
+oracle must accept the package's module and reject the mutant; a mutant
+whose text no longer occurs in the source fails too, so a rewrite of the
+code has to carry its mutants along."""
 
 import importlib
 import importlib.util
@@ -192,6 +192,11 @@ MUTANTS = {
     "widened sign bytes left at 0": (
         "kernel", "sign = data[w - 1::w].translate(_SIGN)", "sign = bytes(len(data) // w)",
         rows_equal_the_determinant),
+    "matched edge shifted by one x instead of x^2": (
+        "kernel", "edge = 2 * x_shift + u_shift", "edge = x_shift + u_shift",
+        rows_equal_the_determinant),
+    "unmatched diagonal's deg v - 1 read as deg v": (
+        "kernel", "(len(adj[v]) - 1) * (g <<", "len(adj[v]) * (g <<", rows_equal_the_determinant),
     "implied-plan test min(alpha) < 0 weakened to < -1": (
         "sweep", "min(alpha) < 0", "min(alpha) < -1", minus_one_alpha_sweep_equals_the_a_table),
     "every plan marked implied": (

@@ -140,10 +140,8 @@ def test_report_text_equals_the_oracle_writer(fmt):
         trees, pairs = enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n)
         summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
         expected = tabled_report_text(cfg, summary, monotone, air)
-        # with cfg.out set or not
-        for out in (None, "report"):
-            out_cfg = cfg.replace(out=out)
-            assert report_text(out_cfg, sweep_pairs(out_cfg, trees, pairs)) == expected
+        out_cfg = cfg.replace(out="report")
+        assert report_text(out_cfg, sweep_pairs(out_cfg, trees, pairs)) == expected
 
 
 def test_every_sweep_rounds_its_slot_width_to_a_cast_size():
@@ -187,18 +185,21 @@ def test_m_basis_alphas_at_involution_shapes_are_scaled_unit_vectors():
 
 def test_the_packed_rows_of_every_tree_equal_the_tau_scaled_determinant():
     # the a[i] rows as the sweep packs them, every basis's vectors sizing
-    # the slots, for sweeps with a report and without
+    # the slots
     for n in range(2, 11):
         m, half = n + 1, n // 2 + 1
-        trees = enumerate_free_trees(n)
-        for out in (None, "report.json"):
-            result = sweep_pairs(SweepConfig(n=n, out=out), trees, proper_gts_pairs(n))
-            for t in trees:
-                rows = [[c for row in result.slots.rows(packed, m) for c in row + [0] * (m - len(row))]
-                        for packed in result.rows[t.code][:half]]
-                for x, q, tau in ((3, 2, 5), (-7, -3, 2), (5, 4, 3)):
-                    assert air_sum(rows, n, x, q, tau) == determinant_air_sum(
-                        t.representative, x, q, tau), (n, t.code, out, x, q, tau)
+        trees, pairs = enumerate_free_trees(n), proper_gts_pairs(n)
+        result = sweep_pairs(SweepConfig(n=n), trees, pairs)
+        for t in trees:
+            rows = [[c for row in result.slots.rows(packed, m) for c in row + [0] * (m - len(row))]
+                    for packed in result.rows[t.code][:half]]
+            for x, q, tau in ((3, 2, 5), (-7, -3, 2), (5, 4, 3)):
+                assert air_sum(rows, n, x, q, tau) == determinant_air_sum(
+                    t.representative, x, q, tau), (n, t.code, x, q, tau)
+    # the n=10 sweep with a report packs the same rows at the same width
+    reported = sweep_pairs(SweepConfig(n=n, out="report.json"), trees, pairs)
+    assert (reported.slots.width, reported.rows, reported.summary) == (
+        result.slots.width, result.rows, result.summary)
 
 
 def unpack_by_slices(slots, packed):
