@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"])
     p.add_argument("--jobs", type=int,
                    help="most parallel workers for the per-tree tables; a pool starts only "
-                        "with 256 trees per worker or more (n >= 12 on 2 workers), as a "
+                        "with 1024 trees per worker or more (n >= 14 on 2 workers), as a "
                         "smaller one costs more to start than it saves")
     add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -5,14 +5,13 @@ module and not gmf, symfunc or qpoly, which import these names back from it.
 
 SlotPacking is the one signed-slot format for Kronecker substitution
 (Harvey, J. Symb. Comp. 2009): the matching DP multiplies polynomials
-packed with its slot width, and the sweep packs, subtracts, cone-tests and
-decodes the a[i][r] rows with it.
+packed with its slot width, and the sweep repacks its root into the a[i][r]
+rows at the sweep's width, and subtracts, cone-tests and decodes them.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from math import comb, factorial
 from typing import TYPE_CHECKING, Sequence
 
@@ -25,7 +24,7 @@ if TYPE_CHECKING:
     from .trees import LabeledTree
 
 
-# memoryview.cast and array codes that hold a slot of 1, 2, 4 or 8 bytes
+# memoryview.cast codes that hold a slot of 1, 2, 4 or 8 bytes
 # as one signed int; slots are written little-endian
 _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 # a slot's top byte -> the byte that extends its sign
@@ -36,35 +35,22 @@ class SlotPacking:
     """`count` signed integers packed into one int, slot k holding value v_k
     as v_k * 2^(k W).  W is the fewest whole bytes that fit every
     |v| <= bound with its sign: 2^(W-1) > bound.  With castable, W up to 8
-    is rounded up to 1, 2, 4 or 8, so that one C-level cast converts every
-    slot in `pack`; the sweep asks for it, and the matching DP, whose
-    big-int products grow with W, does not.  `rows` and `values` cast 3-,
-    5-, 6- and 7-byte slots after widening them to the next cast size;
+    is rounded up to 1, 2, 4 or 8, so that one C-level cast decodes every
+    slot; the sweep asks for it, and the matching DP, whose big-int
+    products grow with W, does not.  `repack` moves the values to wider
+    slots by copying byte planes; `rows` and `values` cast 3-, 5-, 6- and
+    7-byte slots after widening them to the next cast size the same way;
     `nonnegative` and `absolute` act on every slot at once."""
 
     def __init__(self, count: int, bound: int, castable: bool = False) -> None:
-        self.count = count
+        self.count, self.bound = count, bound
         need = bound.bit_length() // 8 + 1
         if castable:
             need = next((w for w in (1, 2, 4, 8) if w >= need), need)
         self.width = need  # bytes per slot
-        self.half = 1 << (8 * self.width - 1)
         # only the top bit of every slot set
         self.bias = int.from_bytes((bytes(self.width - 1) + b"\x80") * count, "little")
         self._cast = _CASTS.get(self.width)
-
-    def pack(self, values: list[int]) -> int:
-        """The packed int of `values`; a value outside [-2^(8W-1), 2^(8W-1))
-        raises OverflowError.  At 1, 2, 4 and 8 bytes one array conversion
-        writes every slot's two's complement bytes D, and flipping each
-        slot's top bit (D ^ bias) adds 2^(8W-1) to every slot, which the
-        bias takes off again."""
-        if self._cast:
-            data = array(self._cast, values).tobytes()
-            return (int.from_bytes(data, "little") ^ self.bias) - self.bias
-        w, half = self.width, self.half
-        data = b"".join((v + half).to_bytes(w, "little") for v in values)
-        return int.from_bytes(data, "little") - self.bias
 
     def mask(self, slots) -> int:
         """The int whose bytes are all set over exactly the given slots."""
@@ -72,32 +58,40 @@ class SlotPacking:
         return sum(full << shift * k for k in slots)
 
     def _bytes(self, packed: int, zeros: int = 0) -> bytes:
-        """Every slot's two's complement bytes.  Adding the bias shifts each
-        slot into [0, 2^W) without carries; flipping each slot's top bit
-        then leaves v mod 2^W.  A slot under the mask `zeros` that is not 0
-        raises ValueError."""
+        """Every slot's two's complement bytes: adding the bias shifts each
+        slot into [0, 2^W) without carries, and flipping its top bit leaves
+        v mod 2^W.  A nonzero slot under the mask `zeros` raises ValueError."""
         data = (packed + self.bias) ^ self.bias
         if data & zeros:
             raise ValueError("a packed slot expected to be 0 is not")
         return data.to_bytes(self.width * self.count, "little")
 
     def _decode(self, data: bytes):
+        w = self.width
         if self._cast:
             return memoryview(data).cast(self._cast)
-        w = self.width
         if w > 8 or not _CASTS:
             return [int.from_bytes(data[k:k + w], "little", signed=True)
                     for k in range(0, len(data), w)]
-        # each slot widened to the next cast size: its bytes copied plane by
-        # plane, and above them its top byte's sign
         wide = 4 if w < 4 else 8
-        out = bytearray(wide * self.count)
-        for j in range(w):
-            out[j::wide] = data[j::w]
+        return memoryview(self._resized(data, wide)).cast(_CASTS[wide]).tolist()
+
+    def _resized(self, data: bytes, wide: int) -> bytearray:
+        """Every slot's bytes at `wide` >= W bytes, one plane (the j-th byte of
+        every slot) at a time: its own W, then its top byte's sign."""
+        w, out = self.width, bytearray(wide * self.count)
         sign = data[w - 1::w].translate(_SIGN)
-        for j in range(w, wide):
-            out[j::wide] = sign
-        return memoryview(out).cast(_CASTS[wide]).tolist()
+        for j in range(wide):
+            out[j::wide] = data[j::w] if j < w else sign
+        return out
+
+    def repack(self, packed: int, to: SlotPacking) -> list[int]:
+        """`packed`'s values in the slots of `to`, at least as wide, cut into
+        ints of to.count slots.  Flipping each slot's top bit in the widened
+        bytes adds 2^(8W'-1) to every slot, which to's bias takes off."""
+        data, size = self._resized(self._bytes(packed), to.width), to.width * to.count
+        return [(int.from_bytes(data[k:k + size], "little") ^ to.bias) - to.bias
+                for k in range(0, len(data), size)]
 
     def values(self, packed: int, zeros: int = 0):
         """Every slot value, as a sequence indexed by slot; a slot under the
@@ -109,9 +103,7 @@ class SlotPacking:
         nonzero value."""
         w = self.width
         data = self._bytes(packed)
-        values = self._decode(data)
-        if self._cast:
-            values = values.tolist()
+        values = list(self._decode(data))
         # a row's trailing zero slots are its trailing zero bytes
         return [
             values[k:k + (len(data[k * w:(k + m) * w].rstrip(b"\0")) + w - 1) // w]
@@ -189,13 +181,20 @@ def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> tuple[SlotPackin
     return slots, packed
 
 
+def air_root(tree: LabeledTree) -> tuple[int, int]:
+    """The matching DP's root int of the a-table in order (see air_rows), and
+    the bound of its SlotPacking((n//2+1)*(n+1)^2, bound)."""
+    slots, packed = _matching_dp(tree, (-1, 1))
+    return packed, slots.bound
+
+
 def air_rows(tree: LabeledTree) -> list[list[int]]:
     """The integer rows a[i] for i = 0..n//2, each flat over (r, e): entry
     r*(n+1)+e is the coefficient of u^e = q^(2e) in a[i][r].
 
     a[i][r] is (-1)^r times the coefficient of s^i x^(n-r) in the matching
     DP with matched-edge weight (s - 1) u, sum_j (s - 1)^j w_j, so the
-    DP's slots are the rows in order, and one decode cuts them."""
+    DP's slots are the rows in order (`air_root`), and one decode cuts them."""
     slots, packed = _matching_dp(tree, (-1, 1))
     values, k = list(slots.values(packed)), (tree.n + 1) ** 2
     return [values[i:i + k] for i in range(0, len(values), k)]

@@ -16,7 +16,7 @@ transform of gamma's involution-class values,
 where a[i][r] is c_r of the monomial-basis polynomial at shape 2^i,1^(n-2i)
 divided by 2^i; by the brick-tabloid rule one matching DP with matched-edge
 weight (s - 1)u gives all of them as integer polynomials in u = q^2, with
-nothing divided (`kernel.air_rows`).  So
+nothing divided (`kernel.air_root`).  So
 along a pair the signed difference of any check is sum_i alpha_i * Delta_i
 with Delta_i = a[i][.](lower) - a[i][.](upper), and every check of a pair is
 a combination of at most n/2+1 difference rows.
@@ -24,17 +24,18 @@ a combination of at most n/2+1 difference rows.
 * Each (basis, lam) gets its gamma vector, the integers Gamma(0..n/2), from
   `kernel.gamma_values` in closed form, with no power-sum expansion; equal
   (vector, mode) keys are checked once.
-* Per tree, `kernel.air_rows` gives the integer rows a[i][r][e] (coefficient
-  of u^e).  A process pool maps it over the trees only at FLOOR trees per
+* Per tree, `kernel.air_root` gives the matching DP's root int, the
+  a-table a[i][r][e] (coefficient of u^e) in slots of its own width, and
+  its bound.  A process pool maps it over the trees only at FLOOR trees per
   worker or more, in a few chunks each; with fewer, its start costs more.
-* Each row is Kronecker-packed over (r, e) into one int with signed slots
-  in `kernel.SlotPacking`, the one slot format of the package (the
-  matching DP packs and decodes through it too).  Packing is
-  linear, so a pair's packed Delta_i is one subtraction of the two trees'
-  packed rows.  One slot width serves the whole sweep, sized from its
-  largest |a| (|Delta| is at most twice that) times its largest
-  sum_i |A_i|, plus the sign bit, rounded up to 1, 2, 4 or 8 bytes so that
-  one C-level conversion packs a row and one cast decodes a block.
+* `SlotPacking.repack` copies each root's bytes plane by plane into n/2+1
+  row ints over (r, e) at the sweep's width, decoding nothing to lists.
+  Packing is linear, so a pair's packed Delta_i is one subtraction of the
+  two trees' packed rows.  One slot width serves the whole sweep, sized
+  from the largest DP bound (|a| is at most it, |Delta| twice it) times
+  the largest sum_i |A_i|, plus the sign bit, rounded up to 1, 2, 4 or 8
+  bytes so that one cast decodes a block; so it is never narrower than a
+  DP's width, and the repack only widens.
 * Each absolute-mode vector with integer alphas A adds to a tree's packed
   rows |c_r| = |sum_i A_i a[i][r]|, the packed sum of its a[i] rows made
   absolute in every slot at once (`SlotPacking.absolute`).
@@ -117,8 +118,8 @@ class SweepConfig:
         return self.mode
 
 
-# fewest trees per pool worker, from the crossover in BENCH_pool.json
-FLOOR = 256
+# fewest trees per pool worker: 2 pay from n=14 on 2 cores (BENCH_repack.json)
+FLOOR = 1024
 
 
 def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
@@ -163,7 +164,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     for basis in cfg.bases:
         mode = cfg.effective_mode(basis)
         for lam in lambdas:
-            # on the module at call time, as kernel.air_rows is
+            # on the module at call time, as kernel.air_root is
             key = (kernel.gamma_values(basis, lam), mode)
             checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
     # per vector its plan: the nonzero (i, A_i) of its integer alphas
@@ -185,7 +186,7 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     reps = [t.representative for t in trees]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = pool_size(cfg.jobs, cpus, len(reps))
-    # kernel.air_rows is looked up on the module at call time (and by name
+    # kernel.air_root is looked up on the module at call time (and by name
     # in pool workers), so that a wrapper on it (ROADMAP item 3) sees every call
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -193,16 +194,15 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
         # a few chunks per worker: one task per tree costs a round trip each
         chunk = max(1, len(reps) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(kernel.air_rows, reps, chunksize=chunk))
+            results = list(pool.map(kernel.air_root, reps, chunksize=chunk))
     else:
-        results = [kernel.air_rows(t) for t in reps]
+        results = [kernel.air_root(t) for t in reps]
 
-    # |Delta| <= 2 max|a|, and |c_r| <= weight * max|a|
-    amax = max(max(max(row), -min(row)) for rows in results for row in rows)
-    slots = SlotPacking(m * m, 2 * amax * weight, castable=True)
+    # |a| <= its DP's bound, so |Delta| <= 2 bound and |c_r| <= weight bound
+    slots = SlotPacking(m * m, 2 * weight * max(b for _, b in results), castable=True)
     packed = {}
-    for t, rows in zip(trees, results):
-        a_rows = [slots.pack(row) for row in rows]
+    for t, (root, b) in zip(trees, results):
+        a_rows = SlotPacking(half * m * m, b).repack(root, slots)
         packed[t.code] = a_rows + [slots.absolute(sum(a * p for a, p in zip(alpha, a_rows) if a))
                                    for alpha in abs_alphas]
 

@@ -381,6 +381,12 @@ def air_sum(rows, n: int, x: int, q: int, tau: int) -> int:
     )
 
 
+def packed_slots(values, width: int) -> int:
+    """The signed-slot int of values at `width` bytes a slot, by the format's
+    definition: slot k holds v_k as v_k * 2^(8 W k), with no bias."""
+    return sum(v << 8 * width * k for k, v in enumerate(values))
+
+
 def q_laplacian_entry(tree, i: int, j: int):
     """Entry (i, j) of I + q^2 (D - I) - q A, a treegmf QPolynomial."""
     from treegmf import QP_ZERO, QPolynomial

@@ -1,5 +1,6 @@
-"""Mutation tests for the slot codec and its absolute value, the matching
-DP's fold, the implied-plan test and the report writer.  Each mutant is a
+"""Mutation tests for the slot codec, its absolute value and its repack, the
+matching DP's fold, the sweep's slot width, the implied-plan test and the
+report writer.  Each mutant is a
 text edit to the source of treegmf.kernel or treegmf.sweep, executed as a
 module under a temporary name, so nothing is written under src/.  Its
 oracle must accept the package's module and reject the mutant; a mutant
@@ -17,7 +18,8 @@ import pytest
 from treegmf import LabeledTree, enumerate_free_trees, kernel, proper_gts_pairs, sweep
 from treegmf.gts import GtsPair
 
-from oracles import air_sum, assembled_air_rows, determinant_air_sum, tabled_sweep
+from oracles import (air_sum, assembled_air_rows, determinant_air_sum, packed_slots,
+                     tabled_sweep)
 
 
 def load_mutant(module: str, old: str, new: str):
@@ -43,18 +45,25 @@ def reversed_pairs(n: int) -> list[GtsPair]:
 
 
 def slot_codec_holds(kernel_module) -> bool:
-    """The slot codec against its definition, packed = sum v_k 2^(8Wk): pack,
-    values and nonnegative at every width, a negative value in the last
-    slot."""
-    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+    """The slot codec against its definition, packed = sum v_k 2^(8Wk):
+    values and nonnegative at every width, and repack to every width up to
+    9 bytes, a negative value in the last slot.  A codec that raises on such
+    an int fails too."""
+    widths = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    for width in widths:
         half = 1 << (8 * width - 1)
         values = [half - 1, 0, -half, 1, -1]
         for castable in (False, True):
             slots = kernel_module.SlotPacking(len(values), half - 1, castable)
-            packed = slots.pack(values)
-            if packed != sum(v << (8 * slots.width * k) for k, v in enumerate(values)):
-                return False
-            if list(slots.values(packed)) != values or slots.nonnegative(packed):
+            packed = packed_slots(values, slots.width)
+            try:
+                if list(slots.values(packed)) != values or slots.nonnegative(packed):
+                    return False
+                for wide in widths[slots.width - 1:]:
+                    to = kernel_module.SlotPacking(len(values), (1 << (8 * wide - 1)) - 1)
+                    if slots.repack(packed, to) != [packed_slots(values, wide)]:
+                        return False
+            except OverflowError:
                 return False
     return True
 
@@ -68,7 +77,7 @@ def absolute_holds(kernel_module) -> bool:
         for castable in (False, True):
             slots = kernel_module.SlotPacking(len(values), top, castable)
             expected = sum(abs(v) << (8 * slots.width * k) for k, v in enumerate(values))
-            if slots.absolute(slots.pack(values)) != expected:
+            if slots.absolute(packed_slots(values, slots.width)) != expected:
                 return False
     return True
 
@@ -97,6 +106,42 @@ def rows_equal_the_determinant(kernel_module) -> bool:
         air_sum(kernel_module.air_rows(t), t.n, x, q, tau) == determinant_air_sum(t, x, q, tau)
         for t in trees for x, q, tau in ((3, 2, 5), (-7, -3, 2), (5, 4, 3))
     )
+
+
+def sweep_rows_equal_air_rows(kernel_module) -> bool:
+    """The a[i] rows of every tree at n = 6 and 9, as the sweep repacks each
+    matching DP root with kernel_module's SlotPacking, against the package's
+    air_rows packed by the format's definition at the sweep's width."""
+    for n in (6, 9):
+        trees = enumerate_free_trees(n)
+        with mock.patch.object(sweep, "SlotPacking", kernel_module.SlotPacking):
+            result = sweep.sweep_pairs(sweep.SweepConfig(n=n), trees, [])
+        width = result.slots.width
+        for t in trees:
+            expected = [packed_slots(row, width) for row in kernel.air_rows(t.representative)]
+            if result.rows[t.code][:n // 2 + 1] != expected:
+                return False
+    return True
+
+
+def roots_at_their_bound_are_checked_exactly(sweep_module) -> bool:
+    """The air check on a-tables whose one nonzero slot holds +B or -B, B
+    their matching DP bound (kernel.air_root replaced), on every proper
+    pair at n=6: a pair fails exactly when its lower tree holds -B and its
+    upper tree +B.  The m vector at shape 1^n has the alphas e_0, so the
+    sweep's weight is 1, and only the width's factor 2 makes the 2B of a
+    difference fit: at B = 2^15 - 1, 4-byte slots where B alone fits 2."""
+    n, bound = 6, (1 << 15) - 1
+    trees, pairs = enumerate_free_trees(n), proper_gts_pairs(n)
+    sign = {t.code: (-1) ** k for k, t in enumerate(trees)}
+    # slot (i, r, e) = (0, 2, 1), in the DP's 2-byte slots
+    roots = {id(t.representative): (sign[t.code] * bound << 16 * (2 * (n + 1) + 1), bound)
+             for t in trees}
+    expected = sum(sign[p.lower.code] < sign[p.upper.code] for p in pairs)
+    cfg = sweep_module.SweepConfig(n=n, bases=("m",), lambda_filter="1^*")
+    with mock.patch.object(kernel, "air_root", lambda tree: roots[id(tree)]):
+        result = sweep_module.sweep_pairs(cfg, trees, pairs)
+    return expected > 0 and result.summary["airFailures"] == expected
 
 
 def f_signed_sweep_equals_the_per_check_oracle(sweep_module) -> bool:
@@ -197,6 +242,18 @@ MUTANTS = {
         rows_equal_the_determinant),
     "unmatched diagonal's deg v - 1 read as deg v": (
         "kernel", "(len(adj[v]) - 1) * (g <<", "len(adj[v]) * (g <<", rows_equal_the_determinant),
+    "matched edge without its u": (
+        "kernel", "edge = 2 * x_shift + u_shift", "edge = 2 * x_shift", rows_equal_the_determinant),
+    "unmatched diagonal's degree term without its u": (
+        "kernel", "(g << x_shift + u_shift)", "(g << x_shift)", rows_equal_the_determinant),
+    "unmatched diagonal's -1 with its sign flipped": (
+        "kernel", "g + (g << x_shift) +", "g - (g << x_shift) +", rows_equal_the_determinant),
+    "matching DP's slots one byte short": (
+        "kernel", "m * m, bound)", "m * m, bound >> 8)", rows_equal_the_determinant),
+    "row split one slot off": (
+        "kernel", "to.width * to.count", "to.width * (to.count + 1)", sweep_rows_equal_air_rows),
+    "sweep width without its factor 2": (
+        "sweep", "2 * weight * max(", "weight * max(", roots_at_their_bound_are_checked_exactly),
     "implied-plan test min(alpha) < 0 weakened to < -1": (
         "sweep", "min(alpha) < 0", "min(alpha) < -1", minus_one_alpha_sweep_equals_the_a_table),
     "every plan marked implied": (

@@ -16,10 +16,11 @@ from treegmf import (
 from treegmf import gmf
 from treegmf.cli import main
 from treegmf.gts import GtsPair
+from treegmf.kernel import air_rows
 from treegmf.symfunc import alphas
 from treegmf.sweep import SlotPacking, SweepConfig, _csv_row, sweep_pairs, write_report
 
-from oracles import air_sum, determinant_air_sum, tabled_report_text, tabled_sweep
+from oracles import air_sum, determinant_air_sum, packed_slots, tabled_report_text, tabled_sweep
 
 
 def reversed_pairs(n):
@@ -136,12 +137,19 @@ def test_report_text_equals_the_oracle_writer(fmt):
     cases = [SweepConfig(n=n, fmt=fmt) for n in range(2, 8)]
     cases.append(SweepConfig(n=5, fmt=fmt, bases=("f", "s"), mode="signed"))
     cases.append(SweepConfig(n=7, fmt=fmt, bases=("m",), lambda_filter="2^k,1^*"))
-    for cfg in cases:
-        trees, pairs = enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n)
+    runs = [(cfg, enumerate_free_trees(cfg.n), proper_gts_pairs(cfg.n)) for cfg in cases]
+    # two pairs at n=14 with every basis: the slots are 9 bytes wide, so the
+    # report decodes them one slot at a time
+    pairs = proper_gts_pairs(14)[:2]
+    trees = list({t.code: t for p in pairs for t in (p.lower, p.upper)}.values())
+    runs.append((SweepConfig(n=14, fmt=fmt), trees, pairs))
+    for cfg, trees, pairs in runs:
         summary, monotone, air, _ = tabled_sweep(cfg, trees, pairs, collect_reports=True)
         expected = tabled_report_text(cfg, summary, monotone, air)
         out_cfg = cfg.replace(out="report")
-        assert report_text(out_cfg, sweep_pairs(out_cfg, trees, pairs)) == expected
+        result = sweep_pairs(out_cfg, trees, pairs)
+        assert (result.slots.width > 8) == (cfg.n == 14)
+        assert report_text(out_cfg, result) == expected
 
 
 def test_every_sweep_rounds_its_slot_width_to_a_cast_size():
@@ -202,9 +210,22 @@ def test_the_packed_rows_of_every_tree_equal_the_tau_scaled_determinant():
         result.slots.width, result.rows, result.summary)
 
 
+def test_the_sweeps_rows_of_every_tree_equal_air_rows():
+    # each tree's matching DP root, repacked at the sweep's width (8 bytes at
+    # n=12 with every basis) and cut into rows, decodes to kernel.air_rows
+    for n in range(2, 13):
+        trees = enumerate_free_trees(n)
+        result = sweep_pairs(SweepConfig(n=n), trees, [])
+        half = n // 2 + 1
+        for t in trees:
+            rows = result.rows[t.code][:half]
+            assert [list(result.slots.values(row)) for row in rows] == air_rows(t.representative)
+
+
 def unpack_by_slices(slots, packed):
     """Every slot value, read by slicing the biased bytes slot by slot."""
-    w, half = slots.width, slots.half
+    w = slots.width
+    half = 1 << (8 * w - 1)
     data = (packed + slots.bias).to_bytes(w * slots.count, "little")
     return [int.from_bytes(data[k:k + w], "little") - half for k in range(0, len(data), w)]
 
@@ -232,18 +253,31 @@ def slot_values(draw):
     return width, castable, values
 
 
+def assert_repacks_to_every_wider_width(slots, values):
+    """slots' int of values repacked at every width in SLOT_WIDTHS from its
+    own up: whole, and cut into ints of one slot each."""
+    packed = packed_slots(values, slots.width)
+    for wide in (w for w in SLOT_WIDTHS if w >= slots.width):
+        for count in (len(values), 1):
+            to = SlotPacking(count, (1 << (8 * wide - 1)) - 1)
+            assert to.width == wide
+            expected = [packed_slots(values[k:k + count], wide)
+                        for k in range(0, len(values), count)]
+            assert slots.repack(packed, to) == expected, (slots.width, wide, count)
+
+
 @settings(max_examples=300, deadline=None)
 @given(slot_values())
 def test_packed_slot_mask_at_slot_boundaries(case):
     width, castable, values = case
     slots = SlotPacking(len(values), (1 << (8 * width - 1)) - 1, castable)
     assert slots.width == width
-    packed = slots.pack(values)
-    assert packed == sum(v << (8 * width * k) for k, v in enumerate(values))
+    packed = packed_slots(values, width)
     assert unpack_by_slices(slots, packed) == values
     assert slots.rows(packed, len(values)) == [cut(values)]
     assert slots.rows(packed, 1) == [cut([v]) for v in values]
     assert slots.nonnegative(packed) == all(v >= 0 for v in values)
+    assert_repacks_to_every_wider_width(slots, values)
     # |-half| does not fit a slot, and absolute's precondition excludes it
     if -(1 << (8 * width - 1)) not in values:
         absolute = sum(abs(v) << (8 * width * k) for k, v in enumerate(values))
@@ -257,11 +291,12 @@ def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width, castable):
     values = [0, 1, -1, half - 1, -(half - 1), -half, 0, 5, 0, 0, 0, 0]
     slots = SlotPacking(len(values), half - 1, castable)
     assert slots.width == width
-    packed = slots.pack(values)
+    packed = packed_slots(values, width)
     assert unpack_by_slices(slots, packed) == values
     for m in (1, 2, 3, 4, 6, 12):
         expected = [cut(values[k:k + m]) for k in range(0, len(values), m)]
         assert slots.rows(packed, m) == expected
+    assert_repacks_to_every_wider_width(slots, values)
 
 
 @pytest.mark.parametrize("width, castable", [(w, False) for w in SLOT_WIDTHS]
@@ -273,7 +308,7 @@ def test_slot_values_under_a_zero_mask_round_trip_at_the_slot_edges(width, casta
     values = [half - 1, 0, -half, -1, 0, 1, -(half - 1), 0, 0]
     slots = SlotPacking(len(values), half - 1, castable)
     assert slots.width == width
-    packed = slots.pack(values)
+    packed = packed_slots(values, width)
     zeros = slots.mask(k for k, v in enumerate(values) if v == 0)
     assert list(slots.values(packed, zeros)) == values
     assert list(slots.values(packed)) == unpack_by_slices(slots, packed)
@@ -442,17 +477,16 @@ def test_a_nonzero_slot_outside_a_failing_blocks_triangle_stops_the_report(fmt, 
 
 @pytest.mark.parametrize("width", SLOT_WIDTHS)
 def test_pack_round_trips_the_widest_values_and_rejects_one_more(width):
+    # the packed int of the widest values decodes and repacks, and a bound
+    # one more needs a byte more
     top = (1 << (8 * width - 1)) - 1
     for castable in (False, True) if width in CAST_WIDTHS else (False,):
-        slots = SlotPacking(5, top, castable)
+        slots = SlotPacking(6, top, castable)
         assert slots.width == width
-        values = [top, -top, 0, -1, 1]
-        packed = slots.pack(values)
-        assert packed == sum(v << (8 * width * k) for k, v in enumerate(values))
-        assert list(slots.values(packed)) == values
-        for bad in (top + 1, -top - 2):
-            with pytest.raises(OverflowError):
-                slots.pack([0, bad])
+        values = [top, -top, 0, -1, 1, -top - 1]
+        assert list(slots.values(packed_slots(values, width))) == values
+        assert_repacks_to_every_wider_width(slots, values)
+        assert SlotPacking(6, top + 1, castable).width > width
 
 
 def test_csv_rows_quote_every_field_kind_as_csv_writer_does():
