@@ -22,7 +22,8 @@ x < y is kept.  The pair generator walks the classes from most leaves to
 fewest and finds each shift's upper class, among those with one leaf more,
 by its rooted (Aho-Hopcroft-Ullman) code at x: the off-path subtree codes
 of x and y and the bare path left behind, sorted and wrapped once.  One
-rerooting pass per class gives those codes, so no shifted tree is built.
+`trees.side_codes` pass per class gives those codes and the index keys, so
+no shifted tree is built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .trees import (  # noqa: F401
     ascii_sketch,
     enumerate_free_trees,
     rooted_order,
+    side_codes,
 )
 
 
@@ -138,50 +140,28 @@ class GtsPair(NamedTuple):
         return self.lower.representative
 
 
-def _near_codes(adj: tuple[tuple[int, ...], ...]) -> tuple[list[list[str]], list[str]]:
-    """near[v][k], for vertex 0 and each v of degree >= 2: the rooted code of
-    the side of the edge v-adj[v][k] away from v; and the tree's rooted codes
-    at its vertices of degree >= 3.  A pass up from the leaves codes the
-    subtrees hung from vertex 0, and a pass down each parent's side beyond a
-    child: the parent's sorted codes without the child's."""
-    order, parent = rooted_order(adj, 0)
-    down, up, near, rooted = ["()"] * len(adj), [""] * len(adj), [[]] * len(adj), []
-    for v in reversed(order[1:]):
-        if len(adj[v]) > 1:
-            down[v] = "(" + "".join(sorted([down[w] for w in adj[v] if w != parent[v]])) + ")"
-    for v in order:
-        a, p = adj[v], parent[v]
-        if len(a) > 1 or p < 0:
-            near[v] = [up[v] if w == p else down[w] for w in a]
-            codes = sorted(near[v])
-            if len(a) > 2:
-                rooted.append("(" + "".join(codes) + ")")
-            for w in a:
-                if w != p and len(adj[w]) > 1:
-                    i = codes.index(down[w])
-                    up[w] = "(" + "".join(codes[:i] + codes[i + 1:]) + ")"
-    return near, rooted
-
-
 def _upper_classes(n: int) -> Iterator[tuple[CanonicalTree, int, int, tuple, CanonicalTree]]:
     """(lower, x, y, path, upper) for each proper shift (x, y) of each class's
     representative, the classes from most leaves to fewest and each one's
     shifts in (x, y) order.  upper is the class whose rooted code at x is
     the shifted tree's, looked up among the classes with one leaf more than
-    lower only, so a shift that lands anywhere else raises KeyError."""
+    lower only, so a shift that lands anywhere else raises KeyError.  A
+    class is indexed by its rooted codes at its vertices of degree >= 3."""
     chains = ["(" * k + ")" * k for k in range(n)]
     above, index, leaves = {}, {}, n  # rooted code -> class, at leaves + 1 and leaves
     for lower in sorted(enumerate_free_trees(n), key=lambda t: -t.representative.degrees().count(1)):
         rep = lower.representative
         if (count := rep.degrees().count(1)) < leaves:
             above, index, leaves = index, {}, count
-        near, rooted = _near_codes(rep.adj)
+        adj, sides = rep.adj, side_codes(rep.adj)
         for x, y, path in proper_shifts(rep):
-            i, j = rep.adj[x].index(path[1]), rep.adj[y].index(path[-2])
-            kids = near[x][:i] + near[x][i + 1:] + near[y][:j] + near[y][j + 1:]
-            kids.append(chains[len(path) - 1])
+            # x's and y's sides off the path, and the bare path left behind
+            kids = sides[x] + sides[y]
+            kids[adj[x].index(path[1])] = chains[len(path) - 1]
+            del kids[len(adj[x]) + adj[y].index(path[-2])]
             yield lower, x, y, path, above["(" + "".join(sorted(kids)) + ")"]
-        index.update(dict.fromkeys(rooted, lower))
+        keys = ["(" + "".join(sorted(s)) + ")" for s in sides if len(s) > 2]
+        index.update(dict.fromkeys(keys, lower))
 
 
 @lru_cache(maxsize=None)
@@ -231,16 +211,17 @@ def pairs_to_json_text(n: int, pairs: list[GtsPair]) -> Iterator[str]:
     json.dumps(obj, indent=2) + "\n" writes for {"n", "pairs": [{"lower",
     "upper", "witness": {"x", "y", "path", "tree": {"n", "edges"}}}]},
     1-based, written directly with one format per pair; a lower tree's edge
-    list is formatted once for its run of pairs.  Codes hold only
-    parentheses, so nothing is escaped."""
-    lower, edges = None, ""
+    list is formatted once for its run of pairs, and each vertex's path
+    cell once per report.  Codes hold only parentheses, so nothing is
+    escaped."""
+    lower, edges, cells = None, "", ["          %d" % v for v in range(1, n + 1)]
     parts = ['{\n  "n": %d,\n  "pairs": [' % n]
     sep = "\n"
     for k, p in enumerate(pairs, 1):
         if p.lower.code != lower:
             lower = p.lower.code
             edges = ",\n".join(_JSON_EDGE % (u + 1, v + 1) for u, v in p.lower.representative.edges())
-        path = ",\n".join("          %d" % (v + 1) for v in p.witness_path)
+        path = ",\n".join([cells[v] for v in p.witness_path])
         head = _JSON_PAIR % (lower, p.upper.code, p.witness_x + 1, p.witness_y + 1, path, n)
         parts += (sep, head, edges, _JSON_PAIR_END)
         sep = ",\n"

@@ -201,7 +201,9 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
     # |a| <= its DP's bound, so |Delta| <= 2 bound and |c_r| <= weight bound
     slots = SlotPacking(m * m, 2 * weight * max(b for _, b in results), castable=True)
     packed = {}
-    for t, (root, b) in zip(trees, results):
+    results.reverse()  # popped in tree order, so no root outlives its rows
+    for t in trees:
+        root, b = results.pop()
         a_rows = SlotPacking(half * m * m, b).repack(root, slots)
         packed[t.code] = a_rows + [slots.absolute(sum(a * p for a, p in zip(alpha, a_rows) if a))
                                    for alpha in abs_alphas]

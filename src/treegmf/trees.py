@@ -1,6 +1,7 @@
-"""Labeled trees, canonical forms for unlabeled trees, free-tree enumeration
-(one centre-rooted level sequence per tree, after Wright, Richmond, Odlyzko
-and McKay), matching counts by size, and the tree file parsers.
+"""Labeled trees, rooted side codes and the canonical forms read off them,
+free-tree enumeration (one centre-rooted level sequence per tree, after
+Wright, Richmond, Odlyzko and McKay), matching counts by size, and the tree
+file parsers.
 
 Vertices are 0-indexed internally; every external format (edge-list text,
 JSON, CLI output) uses 1..n.
@@ -80,7 +81,7 @@ class LabeledTree:
         return len(self.adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        return tuple(map(len, self.adj))
 
     def relabel(self, perm: list[int]) -> "LabeledTree":
         """Relabel vertices: vertex v becomes perm[v]."""
@@ -160,47 +161,47 @@ def centroids(tree: LabeledTree) -> list[int]:
             if 2 * max([n - size[v]] + [size[w] for w in tree.adj[v] if w != parent[v]]) <= n]
 
 
+def side_codes(adj: Sequence[Sequence[int]]) -> list[list[str]]:
+    """sides[v][k], for every vertex v: the rooted code of adj[v][k]'s subtree
+    in the tree hung from v; the rooted code at v is its sides sorted and
+    wrapped.  A down pass codes the subtrees hung from vertex 0, and an up
+    pass each parent's side beyond a child: the parent's sorted sides without
+    the child's, wrapped, and shared by a run of children with equal codes."""
+    order, parent = rooted_order(adj, 0)
+    down, up, sides = ["()"] * len(adj), [""] * len(adj), [[]] * len(adj)
+    for v in reversed(order[1:]):
+        if len(adj[v]) > 1:
+            p = parent[v]
+            down[v] = "(" + "".join(sorted([down[w] for w in adj[v] if w != p])) + ")"
+    for v in order:
+        a, p = adj[v], parent[v]
+        if len(a) == 1 and p >= 0:  # a leaf: one side
+            sides[v] = [up[v]]
+            continue
+        sides[v] = [up[v] if w == p else down[w] for w in a]
+        codes, last = sorted(sides[v]), None
+        for w in a:
+            if w != p:
+                if down[w] != last:  # else the same code as the child before
+                    last = down[w]
+                    i = codes.index(last)
+                    wrapped = "(" + "".join(codes[:i] + codes[i + 1:]) + ")"
+                up[w] = wrapped
+    return sides
+
+
+def _centroid_code(n: int, sides: list[list[str]]) -> str:
+    """The smaller rooted code over the centroids, the vertices none of
+    whose sides has more than n/2 vertices (a code is 2 characters a
+    vertex)."""
+    return min("(" + "".join(sorted(s)) + ")" for s in sides if max(map(len, s), default=0) <= n)
+
+
 def canonical_code(n: int, adj: Sequence[Sequence[int]]) -> str:
     """Canonical code of the unlabeled tree with adjacency lists adj on
     0..n-1 (in any order): the smaller rooted code over its one or two
-    centroids, as `ahu_canonical` returns it.
-
-    One breadth-first pass from vertex 0 gives the subtree sizes; the walk
-    down the heavy children (those with more than n/2 vertices) ends at a
-    centroid c, and a second centroid c2 is the neighbor whose side has
-    exactly n/2 vertices.  One code pass rooted at c gives c's code and
-    every subtree code; c2's code is its children's codes plus c's side
-    without c2, the code of c's other children wrapped once more."""
-    order, parent = rooted_order(adj, 0)
-    size = [1] * n
-    for v in reversed(order):
-        if v:
-            size[parent[v]] += size[v]
-    c, c2 = 0, -1
-    moved = True
-    while moved:
-        moved = False
-        for w in adj[c]:
-            if w != parent[c] and 2 * size[w] >= n:
-                if 2 * size[w] == n:
-                    c2 = w
-                else:
-                    c, moved = w, True
-                break
-    # the code pass, hung from c
-    order, parent = rooted_order(adj, c)
-    codes = ["()"] * n  # every leaf's
-    for v in reversed(order):
-        nbrs = adj[v]
-        if len(nbrs) > 1 or v == c:
-            p = parent[v]
-            codes[v] = "(" + "".join(sorted([codes[w] for w in nbrs if w != p])) + ")"
-    if c2 < 0:
-        return codes[c]
-    side = "(" + "".join(sorted([codes[w] for w in adj[c] if w != c2])) + ")"
-    kids = [codes[w] for w in adj[c2] if w != c]
-    kids.append(side)
-    return min(codes[c], "(" + "".join(sorted(kids)) + ")")
+    centroids, read off one `side_codes` pass."""
+    return _centroid_code(n, side_codes(adj))
 
 
 def ahu_canonical(tree: LabeledTree) -> CanonicalTree:
@@ -250,48 +251,27 @@ def _level_adjacency(levels: list[int]) -> list[list[int]]:
     return adj
 
 
-def _representative_levels(levels: list[int]) -> list[int]:
-    """Levels (root 1) of the rooting with the smallest code of the tree of a
-    canonical level sequence hung from a centre.  A rooted code opens with
-    eccentricity + 1 "(", so that root is a diameter end: at the deepest
-    level top, or at top - 1 outside vertex 1's subtree if 0 and 1 are both
-    centres.  A down pass codes the subtrees, an up pass the side beyond the
-    parent of each vertex on the way to an end."""
-    n, top = len(levels), max(levels)
-    if n < 3:
-        return [v + 1 for v in levels]
-    adj = _level_adjacency(levels)
-    codes = ["()"] * n
-    for v in range(n - 1, 0, -1):  # children in canonical order: sorted codes
-        if len(adj[v]) > 1:
-            codes[v] = "(" + "".join([codes[c] for c in adj[v][1:]]) + ")"
-    m = adj[0][1]
-    low = top - (max(levels[m:]) < top)
-    up, best = [""] * n, ")"
-    for v in range(1, n):
-        p, end = adj[v][0], top if v < m else low
-        # v's subtree reaches level end: its deepest path opens its code
-        if (up[p] or not p) and codes[v].startswith("(" * (end - levels[v] + 1)):
-            side = [codes[c] if c > p else up[p] for c in adj[p] if c != v]
-            up[v] = "(" + "".join(sorted(side)) + ")"
-            if levels[v] == end:  # an end: its rooted code wraps its up code
-                best = min(best, "(" + up[v] + ")")
-    return [d for d, c in zip(accumulate(1 if c == "(" else -1 for c in best), best) if c == "("]
-
-
 @lru_cache(maxsize=None)
 def _free_trees_cached(n: int) -> tuple[CanonicalTree, ...]:
+    """One `side_codes` pass per centre-hung tree gives its class code and
+    its representative, the rooting with the smallest code.  A rooted code
+    opens with eccentricity + 1 "(", so that root is a diameter end, a leaf,
+    whose code is its one side wrapped; the smallest, read back as levels
+    (root 1), is the representative's level sequence."""
     found = []
     for levels in _free_level_sequences(n):
-        adj = _level_adjacency(_representative_levels(levels))
-        found.append(CanonicalTree(canonical_code(n, adj), n, LabeledTree._trusted(adj)))
+        sides = side_codes(_level_adjacency(levels))
+        best = "(" + min((s[0] for s in sides if len(s) == 1), default="") + ")"
+        depth = accumulate(1 if c == "(" else -1 for c in best)
+        adj = _level_adjacency([d for d, c in zip(depth, best) if c == "("])
+        found.append(CanonicalTree(_centroid_code(n, sides), n, LabeledTree._trusted(adj)))
     return tuple(sorted(found, key=lambda t: t.code))
 
 
 def enumerate_free_trees(n: int) -> list[CanonicalTree]:
     """Every isomorphism class of trees on n vertices exactly once, in
-    canonical-code order: one per `_free_level_sequences` tree, coded once by
-    `canonical_code`, and represented by `_representative_levels`."""
+    canonical-code order: one per `_free_level_sequences` tree, coded and
+    represented from one `side_codes` pass."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return list(_free_trees_cached(n))

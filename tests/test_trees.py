@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,9 @@ from treegmf import (
 )
 from treegmf.qpoly import QPolynomial
 from treegmf.trees import (
+    _subtree_codes,
     canonical_code,
+    side_codes,
     tree_from_edge_text,
     tree_from_json_obj,
 )
@@ -119,13 +123,14 @@ def test_free_tree_representatives_match_scanned_levels_oracle():
 
 
 def test_enumeration_codes_each_class_once(monkeypatch):
-    # one centre-rooted level sequence per class, so one canonical_code call;
-    # the uncached function runs, so the module cache is left as it was
+    # one centre-rooted level sequence per class, so one side_codes pass,
+    # which gives both the class code and the representative; the uncached
+    # function runs, so the module cache is left as it was
     from treegmf import trees
 
     calls = []
-    code = trees.canonical_code
-    monkeypatch.setattr(trees, "canonical_code", lambda n, adj: calls.append(n) or code(n, adj))
+    sides = trees.side_codes
+    monkeypatch.setattr(trees, "side_codes", lambda adj: calls.append(adj) or sides(adj))
     for n in range(1, 11):
         calls.clear()
         classes = trees._free_trees_cached.__wrapped__(n)
@@ -256,6 +261,23 @@ def test_rooted_code_matches_its_recursive_definition():
                 assert rooted_code(t.representative, root) == recursive_rooted_code(
                     t.representative, root
                 )
+
+
+def test_side_codes_equal_the_rooted_pass_from_every_vertex():
+    # every free tree on n <= 10 vertices under a seeded relabelling and
+    # neighbour order: side k of v is adj[v][k]'s subtree code in the tree
+    # hung from v
+    rng = random.Random(31)
+    for n in range(1, 11):
+        for ct in enumerate_free_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            tree = ct.representative.relabel(perm)
+            adj = [rng.sample(a, len(a)) for a in tree.adj]
+            sides = side_codes(adj)
+            for v in range(n):
+                codes = _subtree_codes(tree, v)
+                assert sides[v] == [codes[w] for w in adj[v]], (ct.code, v)
 
 
 def test_canonical_code_of_a_long_path():
