@@ -36,7 +36,6 @@ _HOME = {
     "air_table": "gmf",
     "alpha_table": "symfunc",
     "ascii_sketch": "trees",
-    "centroids": "trees",
     "enumerate_free_trees": "trees",
     "enumerate_partitions": "partitions",
     "gmf_poly_bruteforce": "oracle",

@@ -107,12 +107,15 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 class _Options:
     """Flag > config-file > default resolution for one subcommand.  A config
-    key must be the long name of one of the subcommand's flags."""
+    key is a long flag name of the subcommand (aliases: other name -> key)."""
 
-    def __init__(self, args: argparse.Namespace) -> None:
+    def __init__(self, args: argparse.Namespace, **aliases: str) -> None:
         self.args = args
         self.path = getattr(args, "config", None)
-        self.config = load_config(self.path) if self.path else {}
+        config = load_config(self.path) if self.path else {}
+        self.config = {aliases.get(key, key): value for key, value in config.items()}
+        if len(self.config) < len(config):
+            raise UsageError(f"{self.path}: an option is given under two of its names")
         flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "func", "config"}
         for key in self.config:
             if key not in flags:
@@ -397,7 +400,7 @@ def cmd_air_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _Options(args, basis="bases")
     try:
         cfg = _bound("SweepConfig")(
             n=opts.get("n", conv=int) or 0,

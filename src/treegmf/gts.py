@@ -23,7 +23,8 @@ fewest and finds each shift's upper class, among those with one leaf more,
 by its rooted (Aho-Hopcroft-Ullman) code at x: the off-path subtree codes
 of x and y and the bare path left behind, sorted and wrapped once.  One
 `trees.side_codes` pass per class gives those codes and the index keys, so
-no shifted tree is built.
+no shifted tree is built.  The dot export draws each class's sketch from its
+code, with no pass over a tree.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Iterator, NamedTuple
 from .trees import (  # noqa: F401
     CanonicalTree,
     LabeledTree,
+    _code_sketch,
     ahu_canonical,
-    ascii_sketch,
     enumerate_free_trees,
     rooted_order,
     side_codes,
@@ -234,11 +235,11 @@ def pairs_to_json_text(n: int, pairs: list[GtsPair]) -> Iterator[str]:
 
 def poset_to_dot(n: int, pairs: list[GtsPair]) -> Iterator[str]:
     """DOT digraph of the proper-shift relation, in pieces of 1024 lines like
-    `pairs_to_json_text`; node labels carry the canonical code and a small
-    sketch."""
+    `pairs_to_json_text`; node labels carry the canonical code and the sketch
+    drawn from it."""
     nodes = (
         '  "%s" [label="%s\\l%s\\l"];\n'
-        % (t.code, t.code, ascii_sketch(t.representative).replace("\n", "\\l"))
+        % (t.code, t.code, _code_sketch(t.code).replace("\n", "\\l"))
         for t in enumerate_free_trees(n)
     )
     edges = ('  "%s" -> "%s";\n' % (p.lower.code, p.upper.code) for p in pairs)

@@ -1,7 +1,7 @@
 """Labeled trees, rooted side codes and the canonical forms read off them,
 free-tree enumeration (one centre-rooted level sequence per tree, after
-Wright, Richmond, Odlyzko and McKay), matching counts by size, and the tree
-file parsers.
+Wright, Richmond, Odlyzko and McKay), text sketches drawn from a code,
+matching counts by size, and the tree file parsers.
 
 Vertices are 0-indexed internally; every external format (edge-list text,
 JSON, CLI output) uses 1..n.
@@ -138,29 +138,6 @@ def rooted_order(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], li
     return order, parent
 
 
-def _subtree_codes(tree: LabeledTree, root: int) -> list[str]:
-    """Rooted code of every vertex's subtree, the tree hung from root,
-    built children first without recursion."""
-    order, parent = rooted_order(tree.adj, root)
-    codes = [""] * tree.n
-    for v in reversed(order):
-        p = parent[v]
-        codes[v] = "(" + "".join(sorted([codes[c] for c in tree.adj[v] if c != p])) + ")"
-    return codes
-
-
-def centroids(tree: LabeledTree) -> list[int]:
-    """The one or two vertices minimizing the largest component left after
-    their removal: those whose components have at most n/2 vertices each."""
-    n = tree.n
-    order, parent = rooted_order(tree.adj, 0)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return [v for v in range(n)
-            if 2 * max([n - size[v]] + [size[w] for w in tree.adj[v] if w != parent[v]]) <= n]
-
-
 def side_codes(adj: Sequence[Sequence[int]]) -> list[list[str]]:
     """sides[v][k], for every vertex v: the rooted code of adj[v][k]'s subtree
     in the tree hung from v; the rooted code at v is its sides sorted and
@@ -205,8 +182,7 @@ def canonical_code(n: int, adj: Sequence[Sequence[int]]) -> str:
 
 
 def ahu_canonical(tree: LabeledTree) -> CanonicalTree:
-    """Canonical form of the underlying unlabeled tree: the lexicographically
-    smallest rooted code over the (at most two) centroids."""
+    """The tree's isomorphism class: its `canonical_code` and the tree."""
     return CanonicalTree(code=canonical_code(tree.n, tree.adj), n=tree.n, representative=tree)
 
 
@@ -251,6 +227,29 @@ def _level_adjacency(levels: list[int]) -> list[list[int]]:
     return adj
 
 
+def _code_levels(code: str) -> list[int]:
+    """The level sequence (root 1) of a rooted code: each "(" is a vertex."""
+    depth = accumulate(1 if c == "(" else -1 for c in code)
+    return [d for d, c in zip(depth, code) if c == "("]
+
+
+def _code_sketch(code: str) -> str:
+    """The drawing of a rooted code: a line per vertex in code order, "`-o"
+    for a last child and "|-o" for another.  A vertex is the last child when
+    no later vertex at its level comes before a shallower one; levels rise
+    by one at most, so the backward pass clears only the level below."""
+    levels = _code_levels(code)
+    last, seen = [False] * len(levels), [False] * (len(levels) + 2)
+    for i in range(len(levels) - 1, 0, -1):
+        d = levels[i]
+        last[i], seen[d], seen[d + 1] = not seen[d], True, False
+    lines, prefix = ["o"], [""] * (len(levels) + 1)
+    for d, end in zip(levels[1:], last[1:]):
+        lines.append(prefix[d - 1] + ("`-o" if end else "|-o"))
+        prefix[d] = prefix[d - 1] + ("  " if end else "| ")
+    return "\n".join(lines)
+
+
 @lru_cache(maxsize=None)
 def _free_trees_cached(n: int) -> tuple[CanonicalTree, ...]:
     """One `side_codes` pass per centre-hung tree gives its class code and
@@ -262,8 +261,7 @@ def _free_trees_cached(n: int) -> tuple[CanonicalTree, ...]:
     for levels in _free_level_sequences(n):
         sides = side_codes(_level_adjacency(levels))
         best = "(" + min((s[0] for s in sides if len(s) == 1), default="") + ")"
-        depth = accumulate(1 if c == "(" else -1 for c in best)
-        adj = _level_adjacency([d for d, c in zip(depth, best) if c == "("])
+        adj = _level_adjacency(_code_levels(best))
         found.append(CanonicalTree(_centroid_code(n, sides), n, LabeledTree._trusted(adj)))
     return tuple(sorted(found, key=lambda t: t.code))
 
@@ -332,18 +330,5 @@ def parse_tree(text: str) -> LabeledTree:
 
 
 def ascii_sketch(tree: LabeledTree) -> str:
-    """Small text drawing of the unlabeled tree, rooted at a centroid."""
-    codes = {c: _subtree_codes(tree, c) for c in centroids(tree)}
-    root = min(codes, key=lambda c: (codes[c][c], c))
-    code = codes[root]
-    lines: list[str] = []
-    stack = [(root, -1, "o", "")]  # vertex, parent, its line, its children's prefix
-    while stack:
-        v, parent, line, prefix = stack.pop()
-        lines.append(line)
-        kids = sorted((c for c in tree.adj[v] if c != parent), key=code.__getitem__)
-        for k in range(len(kids) - 1, -1, -1):
-            last = k == len(kids) - 1
-            stack.append((kids[k], v, prefix + ("`-o" if last else "|-o"),
-                          prefix + ("  " if last else "| ")))
-    return "\n".join(lines)
+    """Text drawing of the unlabeled tree: its canonical code's `_code_sketch`."""
+    return _code_sketch(canonical_code(tree.n, tree.adj))

@@ -7,21 +7,21 @@ dedup and via the rooted-tree divisor recurrence with Otter's correction,
 path matching counts via the transfer recurrence, every matching of a tree
 by extending the matchings found so far one edge at a time, the matching
 profile of a tree by visiting every matching, q-polynomial arithmetic on
-tuples of Fraction coefficients, canonical codes from one pass for the
-centroids and one rooted pass per centroid, free-tree enumeration with each
-parent found by scanning the level sequence, the generalized tree shift on
-the tree's edge list, the proper-shift pairs found by testing every ordered
-vertex pair of every tree, the monotonicity sweep run one (pair, basis,
-shape) check at a time on per-tree q-polynomial tables (and one pair's
-checks by verify_monotone and verify_air_monotone), tree files written from
-a tree's edge list, the a[i][r] rows assembled from the monomial-basis
-polynomials and divided by 2^i, the poset and verify json reports written by
-json.dumps, integer determinants by fraction-free (Bareiss) elimination, the
-a[i][r] table's generating sum as the determinant of a tau-scaled matrix,
-the q-Laplacian entry by entry, the m- and f-class values at every cycle
-type by signed weighted brick-tabloid counts, the full monomial/power-sum
-transition rows, the elementary basis as products of the e_k, and characters
-by border-strip recursion over the parts of mu.
+tuples of Fraction coefficients, canonical codes and tree sketches from one
+pass for the centroids and one rooted pass per centroid, free-tree
+enumeration with each parent found by scanning the level sequence, the
+generalized tree shift on the tree's edge list, the proper-shift pairs found
+by testing every ordered vertex pair of every tree, the monotonicity sweep
+run one (pair, basis, shape) check at a time on per-tree q-polynomial tables
+(and one pair's checks by verify_monotone and verify_air_monotone), tree
+files written from a tree's edge list, the a[i][r] rows assembled from the
+monomial-basis polynomials and divided by 2^i, the poset and verify json
+reports written by json.dumps, integer determinants by fraction-free
+(Bareiss) elimination, the a[i][r] table's generating sum as the determinant
+of a tau-scaled matrix, the q-Laplacian entry by entry, the m- and f-class
+values at every cycle type by signed weighted brick-tabloid counts, the full
+monomial/power-sum transition rows, the elementary basis as products of the
+e_k, and characters by border-strip recursion over the parts of mu.
 """
 
 from __future__ import annotations
@@ -465,23 +465,67 @@ def scanned_tree_from_levels(levels: list[int]):
     return LabeledTree(n, edges)
 
 
+def subtree_codes(tree, root: int) -> list[str]:
+    """Rooted code of every vertex's subtree, the LabeledTree hung from root,
+    built children first without recursion."""
+    from treegmf.trees import rooted_order
+
+    order, parent = rooted_order(tree.adj, root)
+    codes = [""] * tree.n
+    for v in reversed(order):
+        p = parent[v]
+        codes[v] = "(" + "".join(sorted([codes[c] for c in tree.adj[v] if c != p])) + ")"
+    return codes
+
+
+def centroids(tree) -> list[int]:
+    """The one or two vertices of a LabeledTree minimizing the largest
+    component left after their removal: those whose components have at most
+    n/2 vertices each."""
+    from treegmf.trees import rooted_order
+
+    n = tree.n
+    order, parent = rooted_order(tree.adj, 0)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return [v for v in range(n)
+            if 2 * max([n - size[v]] + [size[w] for w in tree.adj[v] if w != parent[v]]) <= n]
+
+
 def rooted_code(tree, root: int) -> str:
     """Canonical code of the LabeledTree rooted at root, children's codes
     sorted and wrapped in parentheses (equal codes <=> rooted isomorphism),
-    read off treegmf.trees._subtree_codes, the pass ascii_sketch draws
-    from."""
-    from treegmf.trees import _subtree_codes
-
-    return _subtree_codes(tree, root)[root]
+    read off subtree_codes."""
+    return subtree_codes(tree, root)[root]
 
 
 def two_pass_canonical_code(tree) -> str:
     """The canonical code of a LabeledTree as the smaller rooted code over its
     centroids: one pass finds the centroids, and each gets its own rooted
     code pass."""
-    from treegmf import centroids
-
     return min(rooted_code(tree, c) for c in centroids(tree))
+
+
+def two_pass_sketch(tree) -> str:
+    """treegmf.ascii_sketch drawn on the LabeledTree itself: rooted at the
+    centroid with the smaller code (the smaller index on a tie), from one
+    centroids pass and one subtree_codes pass per centroid, each vertex's
+    children in code order, the last drawn "`-o" and the others "|-o"."""
+    codes = {c: subtree_codes(tree, c) for c in centroids(tree)}
+    root = min(codes, key=lambda c: (codes[c][c], c))
+    code = codes[root]
+    lines: list[str] = []
+    stack = [(root, -1, "o", "")]  # vertex, parent, its line, its children's prefix
+    while stack:
+        v, parent, line, prefix = stack.pop()
+        lines.append(line)
+        kids = sorted((c for c in tree.adj[v] if c != parent), key=code.__getitem__)
+        for k in range(len(kids) - 1, -1, -1):
+            last = k == len(kids) - 1
+            stack.append((kids[k], v, prefix + ("`-o" if last else "|-o"),
+                          prefix + ("  " if last else "| ")))
+    return "\n".join(lines)
 
 
 def scanned_free_trees(n: int) -> list:

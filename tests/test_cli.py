@@ -683,6 +683,22 @@ def test_cmd_verify_config_file_and_override(tmp_path, capsys):
     assert code == 0  # flag overrides config
 
 
+def test_cmd_verify_config_reads_basis_as_bases(tmp_path, capsys):
+    # --basis is an alias of --bases, so a config file may name either key,
+    # but not both
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n=5\nbasis=m\n")
+    code, out = run_cli_capture(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli_capture(capsys, "verify", "--n", "5", "--basis", "m")[1]
+    assert out.startswith("verify n=5 bases=m ")
+    cfg.write_text("n=5\nbasis=m\nbases=e\n")
+    assert run_cli("verify", "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: an option is given under two of its names\n"
+    assert captured.out == ""
+
+
 def test_cmd_verify_bad_config(capsys):
     assert run_cli("verify", "--n", "1") == 2
     assert run_cli("verify", "--n", "4", "--bases", "zz") == 2

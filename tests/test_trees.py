@@ -7,13 +7,12 @@ from treegmf import (
     LabeledTree,
     ahu_canonical,
     ascii_sketch,
-    centroids,
     enumerate_free_trees,
     parse_tree,
 )
 from treegmf.qpoly import QPolynomial
 from treegmf.trees import (
-    _subtree_codes,
+    _code_sketch,
     canonical_code,
     side_codes,
     tree_from_edge_text,
@@ -23,6 +22,7 @@ from treegmf.trees import (
 from oracles import (
     _rooted_level_sequences,
     all_labeled_trees_via_prufer,
+    centroids,
     free_tree_count,
     matchings,
     path_matching_count,
@@ -32,9 +32,11 @@ from oracles import (
     rooted_code,
     scanned_free_trees,
     scanned_tree_from_levels,
+    subtree_codes,
     tree_to_edge_text,
     tree_to_json_obj,
     two_pass_canonical_code,
+    two_pass_sketch,
 )
 
 
@@ -245,6 +247,33 @@ def test_ascii_sketch_shape():
     assert sketch.count("o") == 4
 
 
+def test_ascii_sketch_equals_the_two_pass_drawing_on_every_free_tree():
+    # every free tree on n <= 12 vertices under a seeded relabelling and
+    # neighbour order, and the drawing read off each class's code
+    rng = random.Random(32)
+    for n in range(1, 13):
+        for ct in enumerate_free_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            tree = ct.representative.relabel(perm)
+            # neighbour lists in a random order, which no constructor keeps
+            tree.adj = tuple(tuple(rng.sample(a, len(a))) for a in tree.adj)
+            want = two_pass_sketch(tree)
+            assert ascii_sketch(tree) == want, ct.code
+            assert _code_sketch(ct.code) == want, ct.code
+
+
+@pytest.mark.parametrize("make", [LabeledTree.path, LabeledTree.star])
+def test_ascii_sketch_of_a_3000_vertex_tree(make):
+    # the deepest and the widest tree: one line per vertex, no recursion
+    tree = make(3000)
+    lines = ascii_sketch(tree).splitlines()
+    assert len(lines) == 3000
+    # as lists, which pytest reports by the first differing line; its diff of
+    # two 3000-line strings takes minutes
+    assert lines == two_pass_sketch(tree).splitlines()
+
+
 def recursive_rooted_code(tree, root):
     """The rooted code written as the recursion its definition states."""
 
@@ -276,7 +305,7 @@ def test_side_codes_equal_the_rooted_pass_from_every_vertex():
             adj = [rng.sample(a, len(a)) for a in tree.adj]
             sides = side_codes(adj)
             for v in range(n):
-                codes = _subtree_codes(tree, v)
+                codes = subtree_codes(tree, v)
                 assert sides[v] == [codes[w] for w in adj[v]], (ct.code, v)
 
 
@@ -360,6 +389,7 @@ def test_canonical_code_equals_the_two_pass_code_on_random_trees(n, bicentral, r
         rng.shuffle(nbrs)  # any neighbor order
     assert canonical_code(n, adj) == two_pass_canonical_code(tree)
     assert ahu_canonical(tree).code == canonical_code(n, adj)
+    assert ascii_sketch(tree) == two_pass_sketch(tree)
 
 
 @pytest.mark.parametrize("obj", [
