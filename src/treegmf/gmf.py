@@ -18,7 +18,7 @@ are exactly the matchings.  Hence
         Gamma(|M|) * q^(2|M|) * prod over unmatched v of (x - 1 - q^2 (deg v - 1))
 
 The sum is evaluated by a bottom-up DP over the rooted tree
-(matching_profile, through the integer kernel's `kernel._matching_dp`) in
+(matching_profile, through the integer kernel's `kernel.dp_rows`) in
 polynomial time, in integer arithmetic in u = q^2.  The n! permutation sum,
 with the same contract, is `oracle.gmf_poly_bruteforce`, run by
 `gmf --oracle` and the tests; visiting every matching is a test oracle.
@@ -28,8 +28,9 @@ The per-shape table a[i][r] is c_r of the monomial-basis polynomial at shape
 class 2^j,1^(n-2j) (brick tabloids, Egecioglu-Remmel 1991), so a[i][r] is c_r
 of the coefficient of s^i in sum_j (s - 1)^j w_j: one DP with matched-edge
 weight (s - 1)u in place of tu (`kernel.air_rows`, imported here), in
-integers, with nothing divided.  The DP folds x^n w(-1/x), so its slots are
-the table in order, and matching_profile reads them back in powers of x.
+integers, with nothing divided.  The DP folds x^n w(-1/x), so at either
+weight its slots are signed coefficients c_r in order: matching_profile and
+air_rows are the same rows, one per power of the outer variable.
 Every entry lies in the non-negative q^2 cone except the top entry of row 0:
 a[0][n] is the determinant of the q-Laplacian, which equals 1 - q^2 for every
 tree.  Because that entry is tree independent, all pairwise differences along
@@ -43,9 +44,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Literal, NamedTuple, Sequence
 
-from .kernel import _matching_dp, air_rows, alphas
+from .kernel import air_rows, alphas, dp_rows
 from .partitions import Partition
 from .qpoly import QP_ZERO, QPolynomial, XQPolynomial
 from .symfunc import PowerExpansion, involution_class_values
@@ -60,50 +62,43 @@ class GmfPolynomial(NamedTuple):
     lam: Partition | None
     poly: XQPolynomial
 
-    def signed_coefficient(self, r: int) -> QPolynomial:
-        return self.poly.signed_coefficient(r)
-
 
 # ---------------------------------------------------------------------------
 # matching-expansion evaluator
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def matching_profile(tree: LabeledTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per matching size j and power k of x, the integer coefficients in
-    u = q^2 (lowest first, trailing zeros dropped) of x^k in w_j, the sum
-    over matchings of size j of u^j * prod over unmatched v of
-    (x - 1 - u (deg v - 1)): the matching DP with matched-edge weight t u,
-    whose row j*(n+1) + n - k holds them times (-1)^(n-k)."""
-    n, m = tree.n, tree.n + 1
-    slots, packed = _matching_dp(tree, (0, 1))
-    rows = slots.rows(packed, m)
-    return tuple(tuple(tuple((-1) ** (n - k) * c for c in rows[j + n - k]) for k in range(m))
-                 for j in range(0, len(rows), m))
+def _q_polynomials(row: Sequence[int], m: int, den: int = 1) -> list[QPolynomial]:
+    """A DP row flat over (r, e) (see `kernel.dp_rows`) as one q-polynomial
+    per r, over den: u^e is q^(2e)."""
+    nums = [0] * (2 * m - 1)
+    out = []
+    for k in range(0, m * m, m):
+        nums[::2] = row[k:k + m]
+        out.append(QPolynomial.from_ints(nums, den))
+    return out
+
+
+@lru_cache(maxsize=1)
+def matching_profile(tree: LabeledTree) -> tuple[tuple[int, ...], ...]:
+    """Per matching size j, the row of w_j, the sum over matchings of size j
+    of u^j * prod over unmatched v of (x - 1 - u (deg v - 1)), in the layout
+    of air_rows: entry r*(n+1)+e is the coefficient of u^e = q^(2e) in w_j's
+    signed c_r.  The matching DP with matched-edge weight t u."""
+    return tuple(map(tuple, dp_rows(tree, (0, 1))))
 
 
 def coefficients_from_profile(
-    profile: Sequence[Sequence[Sequence[int]]], n: int, gamma_j: Sequence[Fraction]
+    profile: Sequence[Sequence[int]], n: int, gamma_j: Sequence[Fraction]
 ) -> XQPolynomial:
     """Assemble the polynomial sum_j Gamma(j) * w_j from a matching profile.
 
-    The Gamma(j) are put on one denominator, so every coefficient of x^k u^e
-    is a single integer sum over that denominator; no Fraction is built."""
+    The Gamma(j) are put on one denominator, so each u^e coefficient of each
+    c_r is a single integer sum over that denominator; no Fraction is built."""
     den = lcm(*(g.denominator for g in gamma_j))
-    terms = [
-        (g.numerator * (den // g.denominator), profile[j]) for j, g in enumerate(gamma_j) if g
-    ]
-    raw = []
-    for k in range(n + 1):
-        acc = [0] * (n + 1)
-        for g, rows in terms:
-            for e, c in enumerate(rows[k]):
-                acc[e] += g * c
-        nums = [0] * (2 * n + 1)
-        nums[::2] = acc  # u^e is q^(2e)
-        raw.append(QPolynomial.from_ints(nums, den))
-    return XQPolynomial.from_raw(n, raw)
+    gs = [g.numerator * (den // g.denominator) for g in gamma_j]
+    flat = [sum(map(mul, gs, column)) for column in zip(*profile)]
+    return XQPolynomial(n, _q_polynomials(flat, n + 1, den))
 
 
 def gmf_poly_matching(
@@ -139,16 +134,11 @@ class AirTable(NamedTuple):
         return self.values.get((i, r), QP_ZERO)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def air_table(tree: LabeledTree) -> AirTable:
     """The full a[i][r] table, 0 <= i <= n//2, 0 <= r <= n, from air_rows."""
-    m = tree.n + 1
-    values: dict[tuple[int, int], QPolynomial] = {}
-    for i, row in enumerate(air_rows(tree)):
-        for r in range(m):
-            nums = [0] * (2 * m - 1)
-            nums[::2] = row[r * m:(r + 1) * m]  # u^e is q^(2e)
-            values[(i, r)] = QPolynomial.from_ints(nums)
+    values = {(i, r): p for i, row in enumerate(air_rows(tree))
+              for r, p in enumerate(_q_polynomials(row, tree.n + 1))}
     return AirTable(tree=ahu_canonical(tree), n=tree.n, values=values)
 
 

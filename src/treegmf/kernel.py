@@ -38,8 +38,8 @@ class SlotPacking:
     is rounded up to 1, 2, 4 or 8, so that one C-level cast decodes every
     slot; the sweep asks for it, and the matching DP, whose big-int
     products grow with W, does not.  `repack` moves the values to wider
-    slots by copying byte planes; `rows` and `values` cast 3-, 5-, 6- and
-    7-byte slots after widening them to the next cast size the same way;
+    slots by copying byte planes; `values` casts 3-, 5-, 6- and 7-byte
+    slots after widening them to the next cast size the same way;
     `nonnegative` and `absolute` act on every slot at once."""
 
     def __init__(self, count: int, bound: int, castable: bool = False) -> None:
@@ -66,8 +66,10 @@ class SlotPacking:
             raise ValueError("a packed slot expected to be 0 is not")
         return data.to_bytes(self.width * self.count, "little")
 
-    def _decode(self, data: bytes):
-        w = self.width
+    def values(self, packed: int, zeros: int = 0):
+        """Every slot value, as a sequence indexed by slot; a slot under the
+        mask `zeros` that is not 0 raises ValueError."""
+        data, w = self._bytes(packed, zeros), self.width
         if self._cast:
             return memoryview(data).cast(self._cast)
         if w > 8 or not _CASTS:
@@ -92,23 +94,6 @@ class SlotPacking:
         data, size = self._resized(self._bytes(packed), to.width), to.width * to.count
         return [(int.from_bytes(data[k:k + size], "little") ^ to.bias) - to.bias
                 for k in range(0, len(data), size)]
-
-    def values(self, packed: int, zeros: int = 0):
-        """Every slot value, as a sequence indexed by slot; a slot under the
-        mask `zeros` that is not 0 raises ValueError."""
-        return self._decode(self._bytes(packed, zeros))
-
-    def rows(self, packed: int, m: int) -> list[list[int]]:
-        """The slot values in rows of m slots, each cut after its last
-        nonzero value."""
-        w = self.width
-        data = self._bytes(packed)
-        values = list(self._decode(data))
-        # a row's trailing zero slots are its trailing zero bytes
-        return [
-            values[k:k + (len(data[k * w:(k + m) * w].rstrip(b"\0")) + w - 1) // w]
-            for k in range(0, self.count, m)
-        ]
 
     def absolute(self, packed: int) -> int:
         """The packed int of every slot's |v|, given |v| < 2^(8W-1).  A slot
@@ -181,6 +166,16 @@ def _matching_dp(tree: LabeledTree, weight: tuple[int, int]) -> tuple[SlotPackin
     return slots, packed
 
 
+def dp_rows(tree: LabeledTree, weight: tuple[int, int]) -> list[list[int]]:
+    """The matching DP's rows at matched-edge weight (c0 + c1 y) u, one per
+    power j = 0..n//2 of y, each flat over (r, e): entry r*(n+1)+e is the
+    coefficient of y^j u^e in the signed c_r, (-1)^r times that of x^(n-r).
+    The DP's slots are these rows in order, so one decode cuts them."""
+    slots, packed = _matching_dp(tree, weight)
+    values, k = list(slots.values(packed)), (tree.n + 1) ** 2
+    return [values[i:i + k] for i in range(0, len(values), k)]
+
+
 def air_root(tree: LabeledTree) -> tuple[int, int]:
     """The matching DP's root int of the a-table in order (see air_rows), and
     the bound of its SlotPacking((n//2+1)*(n+1)^2, bound)."""
@@ -192,12 +187,9 @@ def air_rows(tree: LabeledTree) -> list[list[int]]:
     """The integer rows a[i] for i = 0..n//2, each flat over (r, e): entry
     r*(n+1)+e is the coefficient of u^e = q^(2e) in a[i][r].
 
-    a[i][r] is (-1)^r times the coefficient of s^i x^(n-r) in the matching
-    DP with matched-edge weight (s - 1) u, sum_j (s - 1)^j w_j, so the
-    DP's slots are the rows in order (`air_root`), and one decode cuts them."""
-    slots, packed = _matching_dp(tree, (-1, 1))
-    values, k = list(slots.values(packed)), (tree.n + 1) ** 2
-    return [values[i:i + k] for i in range(0, len(values), k)]
+    a[i][r] is c_r of the coefficient of s^i in sum_j (s - 1)^j w_j: the
+    `dp_rows` of matched-edge weight (s - 1) u."""
+    return dp_rows(tree, (-1, 1))
 
 
 def gamma_values(basis: str, lam: Partition) -> tuple[int, ...]:

@@ -36,16 +36,18 @@ a combination of at most n/2+1 difference rows.
   the largest sum_i |A_i|, plus the sign bit, rounded up to 1, 2, 4 or 8
   bytes so that one cast decodes a block; so it is never narrower than a
   DP's width, and the repack only widens.
-* Each absolute-mode vector with integer alphas A adds to a tree's packed
-  rows |c_r| = |sum_i A_i a[i][r]|, the packed sum of its a[i] rows made
-  absolute in every slot at once (`SlotPacking.absolute`).
+* Each absolute-mode vector with integer alphas A, not all 0, adds to a
+  tree's packed rows |c_r| = |sum_i A_i a[i][r]|, the packed sum of its
+  a[i] rows made absolute in every slot at once (`SlotPacking.absolute`).
 * Every (gamma vector, mode) has one plan, a list of (row index, integer
   coefficient): the nonzero (i, A_i) in signed mode, its one |c_r| row with
-  coefficient 1 in absolute mode.  Per pair, the packed rows are differenced
-  once, and per vector s = sum of coefficient * difference row over its
-  plan, with one cone test on every slot at once: adding the bias that sets
-  only each slot's top bit leaves every slot's top bit set exactly when
-  every slot is >= 0.
+  coefficient 1 in absolute mode.  A vector whose alphas are all 0, in
+  either mode (m, p and f at every shape not 2^i,1^(n-2i)), has the empty
+  plan: its checks pass, and it is never summed.  Per pair, the packed
+  rows are differenced once, and per vector s = sum of coefficient *
+  difference row over its plan, with one cone test on every slot at once:
+  adding the bias that sets only each slot's top bit leaves every slot's
+  top bit set exactly when every slot is >= 0.
 * A signed plan whose integer A_i are all >= 0 is implied by the air
   check, since a nonnegative combination of rows in the cone stays in it;
   the sweep marks these plans at its start, from each vector's exact A.
@@ -169,20 +171,22 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
             checks.append((basis, lam, mode, vector_index.setdefault(key, len(vector_index))))
     # per vector its plan: the nonzero (i, A_i) of its integer alphas
     # (signed), or its |c_r| row, placed after the a[i] rows (absolute); the
-    # open plans are those the air check does not imply
+    # open plans are those the air check does not imply.  An absolute vector
+    # whose alphas are all 0 has |c_r| = 0, in the cone: no row, empty plan
     plans, lows, open_plans, abs_alphas, weight = [], [], [], [], 1
     for gamma_j, mode in vector_index:
         alpha = alphas(gamma_j)
         weight = max(weight, sum(map(abs, alpha)))
         lows.append(next((i for i, a in enumerate(alpha) if a), half))
-        if mode == "absolute":
+        absolute = mode == "absolute" and any(alpha)
+        if absolute:
             plans.append([(half + len(abs_alphas), 1)])
             abs_alphas.append(alpha)
         else:
             plans.append([(i, a) for i, a in enumerate(alpha) if a])
-        if mode == "absolute" or min(alpha) < 0:
+        if absolute or min(alpha) < 0:
             open_plans.append((len(plans) - 1, plans[-1]))
-    all_plans = list(enumerate(plans))
+    all_plans = [(k, plan) for k, plan in enumerate(plans) if plan]
     reps = [t.representative for t in trees]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = pool_size(cfg.jobs, cpus, len(reps))
@@ -209,7 +213,8 @@ def sweep_pairs(cfg: SweepConfig, trees: list[CanonicalTree], pairs: list[GtsPai
                                    for alpha in abs_alphas]
 
     def bad_rs(s: int) -> list[int]:
-        return [r for r, row in enumerate(slots.rows(s, m)) if min(row, default=0) < 0]
+        values = slots.values(s)
+        return [r for r in range(m) if min(values[r * m:(r + 1) * m]) < 0]
 
     failures: list[str] = []
     monotone_failed = air_failed = 0

@@ -285,7 +285,7 @@ def matching_counts(tree: LabeledTree) -> dict[int, int]:
 
     slots = SlotPacking(tree.n // 2 + 1, 1 << tree.n - 1)
     packed = _fold(tree, lambda v, g: g, lambda h: h << 8 * slots.width)
-    return dict(enumerate(slots.rows(packed, slots.count)[0]))
+    return {k: c for k, c in enumerate(slots.values(packed)) if c}
 
 
 def tree_from_edge_text(text: str) -> LabeledTree:

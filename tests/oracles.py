@@ -301,13 +301,14 @@ def matchings(tree) -> list[Matching]:
     return sorted((Matching(m) for m, _ in found), key=lambda m: (m.size, m.sorted_edges()))
 
 
-def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def enumerated_matching_profile(tree) -> tuple[tuple[int, ...], ...]:
     """The matching profile in the layout of treegmf.gmf.matching_profile
-    (per matching size j and power k of x, the integer u = q^2 coefficients,
-    trailing zeros dropped), summed one matching at a time: each matching of
-    size j adds u^j * prod over unmatched v of (x - 1 - u (deg v - 1))."""
+    (per matching size j, one row flat over (r, e): entry r*(n+1)+e is the
+    coefficient of u^e = q^(2e) in the signed c_r, (-1)^r times that of
+    x^(n-r)), summed one matching at a time: each matching of size j adds
+    u^j * prod over unmatched v of (x - 1 - u (deg v - 1))."""
     n = tree.n
-    acc = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n // 2 + 1)]
+    acc = [[0] * (n + 1) ** 2 for _ in range(n // 2 + 1)]
     for m in matchings(tree):
         covered = m.vertices()
         poly = {(0, m.size): 1}  # (power of x, power of u) -> coefficient
@@ -320,16 +321,8 @@ def enumerated_matching_profile(tree) -> tuple[tuple[tuple[int, ...], ...], ...]
                     grown[key] = grown.get(key, 0) + c * f
             poly = grown
         for (k, e), c in poly.items():
-            acc[m.size][k][e] += c
-    out = []
-    for rows in acc:
-        trimmed = []
-        for coeffs in rows:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            trimmed.append(tuple(coeffs))
-        out.append(tuple(trimmed))
-    return tuple(out)
+            acc[m.size][(n - k) * (n + 1) + e] += (-1) ** (n - k) * c
+    return tuple(map(tuple, acc))
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:

@@ -597,7 +597,7 @@ def test_verify_runs_on_the_integer_kernel_alone():
     from treegmf import gmf, kernel, qpoly, sweep, symfunc
 
     assert qpoly.SlotPacking is sweep.SlotPacking is kernel.SlotPacking
-    assert gmf._matching_dp is kernel._matching_dp
+    assert gmf.dp_rows is kernel.dp_rows
     assert gmf.air_rows is kernel.air_rows
     assert symfunc.gamma_values is kernel.gamma_values
     assert symfunc.alphas is gmf.alphas is sweep.alphas is kernel.alphas

@@ -3,6 +3,7 @@ import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -125,14 +126,15 @@ def test_bruteforce_guard():
 
 def assemble_by_qpolynomials(profile, n, gamma_j):
     """sum_j Gamma(j) * w_j in QPolynomial arithmetic, u^e read as q^(2e)."""
-    raw = []
-    for k in range(n + 1):
+    m, signed = n + 1, []
+    for r in range(m):
         acc = QP_ZERO
         for j, g in enumerate(gamma_j):
-            for e, c in enumerate(profile[j][k]):
-                acc = acc + QPolynomial.monomial(c * g, 2 * e)
-        raw.append(acc)
-    return XQPolynomial.from_raw(n, raw)
+            for e, c in enumerate(profile[j][r * m:(r + 1) * m]):
+                if c:
+                    acc = acc + QPolynomial.monomial(c * g, 2 * e)
+        signed.append(acc)
+    return XQPolynomial(n, signed)
 
 
 def test_profile_equals_enumeration_oracle():
@@ -154,7 +156,8 @@ def test_profile_equals_enumeration_oracle():
                 assert coefficients_from_profile(profile, n, gj) == assemble_by_qpolynomials(
                     expected, n, gj
                 ), (n, t.code, gj)
-    assert matching_profile(LabeledTree(1, [])) == (((-1, 1), (1,)),)
+    # c_0 = x's coefficient 1, and c_1 = -(-1 + u)
+    assert matching_profile(LabeledTree(1, [])) == ((1, 0, 1, -1),)
 
 
 def test_assembly_with_rational_gammas_matches_fraction_reference():
@@ -171,11 +174,10 @@ def test_assembly_with_rational_gammas_matches_fraction_reference():
         profile = matching_profile(tree)
         poly = coefficients_from_profile(profile, n, gamma_j)
         for r in range(n + 1):
-            raw = FractionQPolynomial()
-            for g, rows in zip(gamma_j, profile):
-                for e, c in enumerate(rows[n - r]):
-                    raw = raw + FractionQPolynomial([0] * (2 * e) + [c * g])
-            expected = -raw if r % 2 else raw
+            expected = FractionQPolynomial()
+            for g, row in zip(gamma_j, profile):
+                for e, c in enumerate(row[r * (n + 1):(r + 1) * (n + 1)]):
+                    expected = expected + FractionQPolynomial([0] * (2 * e) + [c * g])
             assert poly.signed_coefficient(r).coeffs == expected.coeffs, (tree, r)
         assert max(c.den for c in poly.signed) > 1
 
@@ -235,9 +237,11 @@ def test_profile_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     # the top power of x in w_j is u^j x^(n-2j) times the number of
-    # j-matchings of the path, C(n-j, j)
+    # j-matchings of the path, C(n-j, j): c_2j of w_j
+    m = n + 1
     for j in range(n // 2 + 1):
-        assert profile[j][n - 2 * j] == (0,) * j + (comb(n - j, j),)
+        assert profile[j][2 * j * m:(2 * j + 1) * m] == (
+            (0,) * j + (comb(n - j, j),) + (0,) * (n - j))
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +311,28 @@ def test_alternating_profile_sum_is_the_characteristic_polynomial(monkeypatch):
     # With Gamma(j) = (-1)^j, the sign character, d_gamma(xI - L_q) is the
     # determinant, so sum_j (-1)^j w_j(x, u = q^2) = det(xI - L_q).  The
     # trees need DP slots of 1 to 9 bytes, so both the cast branch and the
-    # slot-by-slot branch of SlotPacking.rows decode a profile.
+    # widening branch of SlotPacking.values decode a profile.
     widths = set()
-    rows = SlotPacking.rows
+    values = SlotPacking.values
 
-    def recording_rows(self, packed, m):
+    def recording_values(self, packed, zeros=0):
         widths.add(self.width)
-        return rows(self, packed, m)
+        return values(self, packed, zeros)
 
-    monkeypatch.setattr(SlotPacking, "rows", recording_rows)
+    monkeypatch.setattr(SlotPacking, "values", recording_values)
     for n in range(2, 41):
         rng = random.Random(n)
         prufer = LabeledTree(n, prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))))
         for tree in (LabeledTree.path(n), LabeledTree.star(n), prufer):
-            # the uncached DP, so that every tree decodes through rows
+            # the uncached DP, so that every tree decodes through values
             profile = matching_profile.__wrapped__(tree)
+            m = n + 1
             for x, q in ((0, 1), (3, 2), (-2, 3)):
                 u = q * q
-                xs = [x**k for k in range(n + 1)]
-                us = [u**e for e in range(n + 1)]
-                lhs = sum(
-                    (-1) ** j * xk * sum(c * ue for c, ue in zip(row, us))
-                    for j, w in enumerate(profile)
-                    for xk, row in zip(xs, w)
-                )
+                # entry r*m+e weighs u^e times (-1)^r x^(n-r), since c_r is
+                # (-1)^r times the coefficient of x^(n-r)
+                at = [(-1) ** r * x ** (n - r) * u**e for r in range(m) for e in range(m)]
+                lhs = sum((-1) ** j * sum(map(mul, w, at)) for j, w in enumerate(profile))
                 matrix = [
                     [x - 1 - u * (tree.degree(v) - 1) if v == w else q * (w in tree.adj[v])
                      for w in range(n)]
@@ -376,6 +378,25 @@ def test_air_rows_equal_the_assembled_rows_on_40_vertex_trees(tree):
     # past the random trees' n <= 30: the (s - 1) u edge weight doubles the
     # DP's coefficient bound per matched edge, so its slots are widest here
     assert air_rows(tree) == assembled_air_rows(tree)
+
+
+def test_the_two_dp_weights_are_one_binomial_transform_apart():
+    # a[i] is the s^i coefficient of sum_j (s - 1)^j w_j, and both DP weights
+    # give rows in one layout, so a[i] = sum_j (-1)^(j-i) C(j, i) w_j holds
+    # entry by entry between the (s - 1) u and the t u runs
+    trees = [t.representative for n in range(1, 11) for t in enumerate_free_trees(n)]
+    for n in (20, 30, 40):
+        rng = random.Random(n)
+        trees += [LabeledTree.path(n), LabeledTree.star(n),
+                  LabeledTree(n, prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))))]
+    for tree in trees:
+        profile = matching_profile.__wrapped__(tree)
+        expected = [
+            [sum((-1) ** (j - i) * comb(j, i) * w[k] for j, w in enumerate(profile[i:], i))
+             for k in range((tree.n + 1) ** 2)]
+            for i in range(len(profile))
+        ]
+        assert air_rows(tree) == expected, tree.edges()
 
 
 def caterpillar(n):

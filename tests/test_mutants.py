@@ -1,6 +1,6 @@
 """Mutation tests for the slot codec, its absolute value and its repack, the
-matching DP's fold, the sweep's slot width, the implied-plan test and the
-report writer.  Each mutant is a
+matching DP's fold, the sweep's slot width, the implied-plan and zero-vector
+tests and the report writer.  Each mutant is a
 text edit to the source of treegmf.kernel or treegmf.sweep, executed as a
 module under a temporary name, so nothing is written under src/.  Its
 oracle must accept the package's module and reject the mutant; a mutant
@@ -156,6 +156,19 @@ def f_signed_sweep_equals_the_per_check_oracle(sweep_module) -> bool:
     return [f[:f.rindex(" x=")] for f in result.summary["failures"]] == summary["failures"]
 
 
+def f_auto_sweep_equals_the_per_check_oracle(sweep_module) -> bool:
+    """f in auto mode, so in absolute mode, at every shape on every proper
+    pair at n=6, against the per-check oracle: the one-term vectors
+    (-2)^i e_i get |c_r| rows, and the zero vector of the other shapes gets
+    none.  Checked signed, the odd i would fail some pairs."""
+    n = 6
+    cfg = sweep_module.SweepConfig(n=n, bases=("f",))
+    trees, pairs = enumerate_free_trees(n), proper_gts_pairs(n)
+    result = sweep_module.sweep_pairs(cfg, trees, pairs)
+    summary, _, _, _ = tabled_sweep(cfg, trees, pairs)
+    return [f[:f.rindex(" x=")] for f in result.summary["failures"]] == summary["failures"]
+
+
 def minus_one_alpha_sweep_equals_the_a_table(sweep_module) -> bool:
     """A gamma vector whose alphas are e_1 - e_2, so min(alpha) = -1, which
     no basis gives: the sweep's failures on every proper pair at n=5 equal
@@ -257,8 +270,10 @@ MUTANTS = {
     "implied-plan test min(alpha) < 0 weakened to < -1": (
         "sweep", "min(alpha) < 0", "min(alpha) < -1", minus_one_alpha_sweep_equals_the_a_table),
     "every plan marked implied": (
-        "sweep", 'if mode == "absolute" or min(alpha) < 0:', "if False:",
+        "sweep", "if absolute or min(alpha) < 0:", "if False:",
         f_signed_sweep_equals_the_per_check_oracle),
+    "zero-vector test any(alpha) read as all(alpha)": (
+        "sweep", "any(alpha)", "all(alpha)", f_auto_sweep_equals_the_per_check_oracle),
     "outside-triangle AND dropped": (
         "sweep", "values = slots.values(s, outside)", "values = slots.values(s)",
         outside_slots_stop_the_report),

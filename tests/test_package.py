@@ -101,7 +101,7 @@ def test_value_classes_survive_a_pickle_round_trip():
     assert back.witness_tree() == pair.witness_tree()
     assert back.witness_path == pair.witness_path
     back = pickle.loads(pickle.dumps(poly))
-    assert [back.signed_coefficient(r) for r in range(6)] == list(poly.poly.signed)
+    assert [back.poly.signed_coefficient(r) for r in range(6)] == list(poly.poly.signed)
 
 
 def test_power_expansion_drops_zero_coordinates_and_checks_the_degree():

@@ -168,16 +168,20 @@ def test_a_serial_sweep_caches_no_matching_profile():
 
 
 def test_each_tree_has_one_row_list_and_every_plan_is_integer_terms():
-    # auto mode: f's vectors are checked in absolute mode, the rest signed
+    # auto mode: f's vectors are checked in absolute mode, the rest signed;
+    # f's vector at the shapes not 2^i,1^(n-2i) is all 0, and gets no row
     n, half = 8, 5
     result = sweep_pairs(SweepConfig(n=n), enumerate_free_trees(n), proper_gts_pairs(n))
     modes = {k: mode for _, _, mode, k in result.checks}
-    absolute = [k for k in sorted(modes) if modes[k] == "absolute"]
-    assert absolute and len(absolute) < len(modes)
+    absolute = [k for k in sorted(modes) if modes[k] == "absolute" and result.plans[k]]
+    assert absolute and len(absolute) == n // 2 + 1
+    assert [k for k in modes if not result.plans[k]] == [
+        k for k in modes if result.lows[k] == half]
+    assert sum(not result.plans[k] for k in modes if modes[k] == "absolute") == 1
     assert all(len(rows) == half + len(absolute) for rows in result.rows.values())
     for k, plan in enumerate(result.plans):
         assert all(type(row) is int and type(a) is int and a for row, a in plan)
-        if modes[k] == "absolute":
+        if k in absolute:
             assert plan == [(half + absolute.index(k), 1)]
         else:
             assert all(row < half for row, _ in plan)
@@ -195,12 +199,11 @@ def test_the_packed_rows_of_every_tree_equal_the_tau_scaled_determinant():
     # the a[i] rows as the sweep packs them, every basis's vectors sizing
     # the slots
     for n in range(2, 11):
-        m, half = n + 1, n // 2 + 1
+        half = n // 2 + 1
         trees, pairs = enumerate_free_trees(n), proper_gts_pairs(n)
         result = sweep_pairs(SweepConfig(n=n), trees, pairs)
         for t in trees:
-            rows = [[c for row in result.slots.rows(packed, m) for c in row + [0] * (m - len(row))]
-                    for packed in result.rows[t.code][:half]]
+            rows = [list(result.slots.values(packed)) for packed in result.rows[t.code][:half]]
             for x, q, tau in ((3, 2, 5), (-7, -3, 2), (5, 4, 3)):
                 assert air_sum(rows, n, x, q, tau) == determinant_air_sum(
                     t.representative, x, q, tau), (n, t.code, x, q, tau)
@@ -228,13 +231,6 @@ def unpack_by_slices(slots, packed):
     half = 1 << (8 * w - 1)
     data = (packed + slots.bias).to_bytes(w * slots.count, "little")
     return [int.from_bytes(data[k:k + w], "little") - half for k in range(0, len(data), w)]
-
-
-def cut(row):
-    """row up to its last nonzero value."""
-    while row and not row[-1]:
-        row = row[:-1]
-    return row
 
 
 # every slot width a sweep can choose: 1, 2, 4 and 8 bytes are decoded by
@@ -274,8 +270,7 @@ def test_packed_slot_mask_at_slot_boundaries(case):
     assert slots.width == width
     packed = packed_slots(values, width)
     assert unpack_by_slices(slots, packed) == values
-    assert slots.rows(packed, len(values)) == [cut(values)]
-    assert slots.rows(packed, 1) == [cut([v]) for v in values]
+    assert list(slots.values(packed)) == values
     assert slots.nonnegative(packed) == all(v >= 0 for v in values)
     assert_repacks_to_every_wider_width(slots, values)
     # |-half| does not fit a slot, and absolute's precondition excludes it
@@ -293,9 +288,7 @@ def test_slot_rows_equal_the_sliced_decode_at_the_slot_edges(width, castable):
     assert slots.width == width
     packed = packed_slots(values, width)
     assert unpack_by_slices(slots, packed) == values
-    for m in (1, 2, 3, 4, 6, 12):
-        expected = [cut(values[k:k + m]) for k in range(0, len(values), m)]
-        assert slots.rows(packed, m) == expected
+    assert list(slots.values(packed)) == values
     assert_repacks_to_every_wider_width(slots, values)
 
 
